@@ -575,11 +575,6 @@ def g3i_text(node: G3Node, u: GoalUniverse, indent: int = 0) -> str:
     return "\n".join([line] + [g3i_text(c, u, indent + 1) for c in node.children])
 
 
-def structured_tree(node: BNode) -> dict:
-    return {"sequent": node.seq.render(), "rule": node.rule,
-            "children": [structured_tree(c) for c in node.children]}
-
-
 def structured_g3i(node: G3Node, u: GoalUniverse) -> dict:
     return {"sequent": f"{u.render_mask(node.psi)} |- {to_text(u.sf[node.rhs])}",
             "rule": node.rule,

@@ -8,9 +8,9 @@ connective; ``~A`` is stored as ``A -> false``.
 A :class:`GoalUniverse` freezes everything the provers need about one goal
 formula: its subformulas in a deterministic bottom-up order, the left/right
 subformula masks, the atom and implication slices of the left subformulas,
-and a cached closure operator.  All sets of subformulas are bit vectors
-(plain ints) indexed by position in that order, wrapped by
-:class:`FormulaSet` at API boundaries.
+and a cached closure operator with its minimal generators.  All sets of
+subformulas are bit vectors (plain ints) indexed by position in that order,
+wrapped by :class:`FormulaSet` at API boundaries.
 """
 
 from __future__ import annotations
@@ -28,6 +28,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         lsb = mask & -mask
         yield lsb.bit_length() - 1
         mask ^= lsb
+
+
+def minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal members of ``masks``, fewest bits first."""
+    out: list[int] = []    # kept masks with fewer bits than the current one
+    same: list[int] = []   # kept masks with as many bits
+    for m in sorted(set(masks), key=int.bit_count):
+        if same and same[-1].bit_count() < m.bit_count():
+            out += same
+            same = []
+        if all(k & ~m for k in out):
+            same.append(m)
+    return out + same
 
 
 class Formula:
@@ -374,6 +387,7 @@ class GoalUniverse:
                                if (self.prime_mask >> i) & 1 and (self.sfr >> i) & 1)
         self.sizes = tuple(f.size for f in self.sf)
         self._closure_cache: dict[int, int] = {}
+        self._generators: dict[int, tuple[int, ...]] = {}
 
     def _polarities(self) -> tuple[int, int]:
         sfl = sfr = 0
@@ -441,6 +455,38 @@ class GoalUniverse:
                     cl |= 1 << i
         self._closure_cache[mask] = cl
         return cl
+
+    def generators(self, a: int) -> tuple[int, ...]:
+        """The minimal generators of position ``a``: the inclusion-minimal
+        masks g inside ``gbar`` with a in closure(g), fewest elements first.
+
+        ``closure`` is monotone, so for every m inside ``gbar`` (where all
+        left sides live), a is in closure(m) iff some generator is a subset
+        of m: the generators are the monotone DNF of membership, whose
+        minimal transversals (Berge; Eiter and Gottlob, SIAM J. Comput. 1995)
+        are the minimal ways to keep a out.  Built bottom-up and memoised
+        per position: {a} itself if a is in ``gbar``, the pairwise unions of
+        the conjuncts' generators, the union of the disjuncts' generators,
+        the consequent's generators.  Sets leaving ``gbar`` are never built,
+        which keeps a conjunction of k atom disjunctions at 2^k generators
+        instead of about 3^k.
+        """
+        gens = self._generators.get(a)
+        if gens is not None:
+            return gens
+        f = self.sf[a]
+        cands = {1 << a} if (self.gbar >> a) & 1 else set()
+        if f.kind == AND:
+            right = self.generators(self.pos[f.right.id])
+            cands.update(x | y for x in self.generators(self.pos[f.left.id])
+                         for y in right)
+        elif f.kind == OR:
+            cands.update(self.generators(self.pos[f.left.id]))
+            cands.update(self.generators(self.pos[f.right.id]))
+        elif f.kind == IMP:
+            cands.update(self.generators(self.pos[f.right.id]))
+        gens = self._generators[a] = tuple(minimal_masks(cands))
+        return gens
 
     def closure_count(self, mask: int) -> int:
         """|closure(mask) restricted to left subformulas|, the weight head."""

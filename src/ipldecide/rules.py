@@ -14,10 +14,10 @@ lives in the search module; this one only builds single instances.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .formula import (AND, IMP, OR, Formula, GoalUniverse, iter_bits, to_text)
+from .formula import (AND, IMP, OR, Formula, GoalUniverse, iter_bits, minimal_masks,
+                      to_text)
 
 
 class NotApplicable(ValueError):
@@ -187,55 +187,75 @@ def apply_imp_in_regular(premise: Sequent, target: Formula) -> Sequent:
     return Sequent(u, True, premise.gamma, 0, 0, t)
 
 
+def _subset_order(mask: int) -> tuple[int, list[int]]:
+    """Cardinality, then the sorted positions: the order of ``combinations``."""
+    return mask.bit_count(), list(iter_bits(mask))
+
+
 def minimal_shifts(u: GoalUniverse, sigma: int, theta: int, a: int) -> list[int]:
     """Minimal subsets of ``theta`` whose shift puts ``a`` in the closure.
 
     Returns every mask L, subset of theta, inclusion-minimal with
-    a in closure(sigma | L); candidates are enumerated by cardinality then
-    position order, pruning supersets of found solutions.
+    a in closure(sigma | L); sigma and theta lie inside ``u.gbar``.  That
+    holds iff some minimal generator g of a (:meth:`GoalUniverse.generators`,
+    the monotone DNF whose dual :func:`maximal_avoiding` enumerates, after
+    Berge and Eiter and Gottlob) lies inside sigma | L.  So the answer is
+    the minimal elements of {g - sigma : g within sigma | theta}, ordered
+    by cardinality, then by sorted positions: the order in which
+    ``itertools.combinations`` would meet them.
     """
-    if not (u.closure(sigma | theta) >> a) & 1:
-        return []
-    if (u.closure(sigma) >> a) & 1:
-        return [0]
-    elems = list(iter_bits(theta))
-    sols: list[int] = []
-    for k in range(1, len(elems) + 1):
-        for combo in combinations(elems, k):
-            lam = 0
-            for i in combo:
-                lam |= 1 << i
-            if any(not (sol & ~lam) for sol in sols):
-                continue
-            if (u.closure(sigma | lam) >> a) & 1:
-                sols.append(lam)
-    return sols
+    avail = sigma | theta
+    shifts = [g & ~sigma for g in u.generators(a) if not g & ~avail]
+    if len(shifts) > 1:
+        shifts = sorted(minimal_masks(shifts), key=_subset_order)
+    return shifts
+
+
+def _transversals(edges: list[int]) -> list[int]:
+    """Minimal transversals of a hypergraph of non-empty edges, by Berge's
+    incremental algorithm (Eiter and Gottlob, SIAM J. Comput. 1995).
+
+    After each edge E the family is the kept sets H that meet E plus, for
+    each set T missing E and each v in E, T + v unless it contains some H.
+    Such an H must hold v (the family is an antichain), and two extensions
+    never contain one another.
+    """
+    trs = [0]
+    for e in sorted(set(edges), key=int.bit_count):
+        hit = [t for t in trs if t & e]
+        miss = [t for t in trs if not t & e]
+        if not miss:
+            continue
+        grown = []
+        for v in iter_bits(e):
+            rests = [h ^ 1 << v for h in hit if h >> v & 1]
+            grown += [t | 1 << v for t in miss if all(r & ~t for r in rests)]
+        trs = hit + grown
+    return trs
 
 
 def maximal_avoiding(u: GoalUniverse, available: int, a: int, require: int = 0,
                      ) -> list[int]:
     """Maximal T with require <= T <= available and ``a`` not in closure(T).
 
-    Enumerated through the complement: minimal removal sets R inside
-    ``available & ~require`` with a not in closure(available & ~R).
+    All masks lie inside ``u.gbar``.  Through the complement
+    T = available - R: a stays out of closure(T) iff R meets g & removable
+    for every minimal generator g of ``a`` inside ``available``, where
+    removable = available - require.  So the minimal R are the minimal
+    transversals of that hypergraph, the dual of the generators' monotone
+    DNF, built by Berge's algorithm (:func:`_transversals`).  Sorted by R
+    like :func:`minimal_shifts`; empty when a is in closure(require).
     """
-    if (u.closure(require) >> a) & 1:
+    gens = u.generators(a)
+    if any(not g & ~require for g in gens):
         return []
     removable = available & ~require
-    if not (u.closure(available) >> a) & 1:
-        return [available]
-    elems = list(iter_bits(removable))
-    sols: list[int] = []
-    for k in range(1, len(elems) + 1):
-        for combo in combinations(elems, k):
-            r = 0
-            for i in combo:
-                r |= 1 << i
-            if any(not (sol & ~r) for sol in sols):
-                continue
-            if not (u.closure(available & ~r) >> a) & 1:
-                sols.append(r)
-    return [available & ~r for r in sols]
+    edges = [g & removable for g in gens if not g & ~available]
+    if len(edges) > 1:
+        removals = sorted(_transversals(edges), key=_subset_order)
+    else:  # remove nothing, or any one element of the only edge
+        removals = [1 << v for v in iter_bits(edges[0])] if edges else [0]
+    return [available & ~r for r in removals]
 
 
 def apply_imp_in_irregular(premise: Sequent, target: Formula) -> list[Sequent]:

@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ipldecide.formula import build_universe, parse
+from ipldecide.formula import build_universe, iter_bits, parse
+from ipldecide.generate import random_formulas
 from ipldecide.rules import (NotApplicable, Weight, apply_and,
                              apply_imp_in_irregular, apply_imp_in_regular,
                              apply_imp_notin, apply_join, apply_or, axioms,
-                             regular, irregular, subsumes, weight)
+                             maximal_avoiding, minimal_shifts, regular,
+                             irregular, subsumes, weight)
 from ipldecide.search import fsearch
 
 from conftest import (KP_LINES, SCOTT, SCOTT_LINES, iseq, rseq, sequent_of_line)
@@ -108,6 +113,90 @@ def test_apply_imp_in_irregular_minimal_shifts():
     }
     # The full shift {p, q} is not minimal and must not appear.
     assert all((s.sigma.bit_count()) == 1 for s in outs)
+
+
+# -- shift kernels against the subset enumeration --------------------------------
+
+def _subsets(mask):
+    """Every subset of ``mask`` by cardinality, then by sorted positions."""
+    elems = list(iter_bits(mask))
+    for k in range(1, len(elems) + 1):
+        for combo in combinations(elems, k):
+            yield sum(1 << i for i in combo)
+
+
+def brute_minimal_shifts(u, sigma, theta, a):
+    """Reference for ``minimal_shifts``: one closure call per subset of theta."""
+    if not (u.closure(sigma | theta) >> a) & 1:
+        return []
+    if (u.closure(sigma) >> a) & 1:
+        return [0]
+    sols = []
+    for lam in _subsets(theta):
+        if all(sol & ~lam for sol in sols) and (u.closure(sigma | lam) >> a) & 1:
+            sols.append(lam)
+    return sols
+
+
+def brute_maximal_avoiding(u, available, a, require=0):
+    """Reference for ``maximal_avoiding``: one closure call per removal set."""
+    if (u.closure(require) >> a) & 1:
+        return []
+    if not (u.closure(available) >> a) & 1:
+        return [available]
+    sols = []
+    for r in _subsets(available & ~require):
+        if all(sol & ~r for sol in sols) and not (u.closure(available & ~r) >> a) & 1:
+            sols.append(r)
+    return [available & ~r for r in sols]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 5), st.randoms(use_true_random=False))
+def test_shift_kernels_match_the_subset_enumeration(seed, nvars, rng):
+    # The largest of four random goals, and mostly an antecedent as the
+    # target, so that answers with several sets are common.
+    u = build_universe(max(random_formulas(seed, nvars, 40, 4), key=lambda f: f.size))
+    antecedents = sorted(set(u.ante.values()))
+    a = (rng.choice(antecedents) if antecedents and rng.random() < 0.8
+         else rng.randrange(u.n))
+    slice_ = list(iter_bits(u.gbar))
+    # Theta and the removable set stay within 12 positions of the slice, so
+    # the reference makes at most 4096 closure calls.
+    capped = rng.sample(slice_, min(12, len(slice_)))
+
+    def sub(pool, density):
+        return sum(1 << i for i in pool if rng.random() < density)
+
+    theta = sub(capped, 0.85)
+    sigma = sub(slice_, 0.5) & ~theta
+    assert minimal_shifts(u, sigma, theta, a) == brute_minimal_shifts(u, sigma, theta, a)
+    available = sub(capped, 0.85)
+    require = sub(slice_, 0.3) if rng.random() < 0.5 else 0
+    assert (maximal_avoiding(u, available, a, require)
+            == brute_maximal_avoiding(u, available, a, require))
+
+
+def test_shift_kernels_on_a_product_of_generators():
+    # The antecedent's generators are the four pairs {p, q} x {r, s}.
+    u = build_universe(parse("((p | q) & (r | s)) -> b"))
+    a = u.position_of(parse("(p | q) & (r | s)"))
+    p, q, r, s = (1 << u.position_of(parse(x)) for x in "pqrs")
+    assert sorted(u.generators(a)) == sorted([p | r, p | s, q | r, q | s])
+    everything = p | q | r | s
+    assert minimal_shifts(u, 0, everything, a) == [p | r, p | s, q | r, q | s]
+    assert minimal_shifts(u, p, q | r | s, a) == [r, s]
+    assert maximal_avoiding(u, everything, a) == [r | s, p | q]
+    assert maximal_avoiding(u, everything, a, require=p) == [p | q]
+    assert maximal_avoiding(u, everything, a, require=p | r) == []
+    # Removal sets {r} and then {p, q}: fewer elements first.
+    assert maximal_avoiding(u, p | q | r, a) == [p | q, r]
+    for sigma, theta in [(0, everything), (p, q | r | s), (q | s, p)]:
+        assert (minimal_shifts(u, sigma, theta, a)
+                == brute_minimal_shifts(u, sigma, theta, a))
+    for require in (0, p, q | s, p | r):
+        assert (maximal_avoiding(u, everything, a, require)
+                == brute_maximal_avoiding(u, everything, a, require))
 
 
 def test_apply_imp_in_irregular_scott(scott_u):

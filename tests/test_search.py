@@ -1,6 +1,10 @@
 import pytest
 
+from ipldecide import countermodel, search
+from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, parse
+from ipldecide.generate import nishimura
+from ipldecide.kripke import height
 from ipldecide.rules import subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
                               IterationBudgetExceeded, SearchOutcome,
@@ -9,6 +13,7 @@ from ipldecide.search import (AX_IRR, Database, InsertResult,
 
 from conftest import (E_IRREGULAR_LINES, SCOTT, SCOTT_LINES, VALID_E, iseq,
                       rseq, sequent_of_line)
+from test_rules import brute_maximal_avoiding, brute_minimal_shifts
 
 
 # -- fsearch outcomes ----------------------------------------------------------
@@ -219,3 +224,33 @@ def test_stats_counters(scott_u):
     assert sum(row["generated"] for row in out.stats) >= total_added
     assert all({"iteration", "db_size", "candidate_sets", "forward_subsumed",
                 "backward_removed"} <= set(row) for row in out.stats)
+
+
+# -- shift kernels against the subset enumeration --------------------------------
+
+def _chain(n):
+    atoms = [f"p{i}" for i in range(1, n + 1)]
+    links = " & ".join(f"({x} -> {y})" for x, y in zip(atoms, atoms[1:]))
+    return parse(f"{links} -> ({atoms[0]} -> {atoms[-1]})")
+
+
+def _saturation_trace(goal, min_height):
+    out = fsearch(goal, min_height=min_height)
+    trace = [out.db.dump(annotated=True), out.store.dump()]
+    if out.is_proof:
+        model = extract_model(out.store, out.root).model
+        store, _root = derivation_from_model(model, goal)
+        trace += [model.up, model.valuation, height(model), store.dump()]
+    return trace
+
+
+def test_shift_kernels_reproduce_the_subset_enumeration_runs(monkeypatch):
+    # Same databases, same node ids, same countermodels as with the
+    # reference kernels, on valid chains and on the non-valid ladder.
+    goals = [(_chain(n), False) for n in range(4, 8)]
+    goals += [(nishimura(i), True) for i in range(1, 13)]
+    traces = [_saturation_trace(g, mh) for g, mh in goals]
+    for module in (search, countermodel):
+        monkeypatch.setattr(module, "minimal_shifts", brute_minimal_shifts)
+        monkeypatch.setattr(module, "maximal_avoiding", brute_maximal_avoiding)
+    assert [_saturation_trace(g, mh) for g, mh in goals] == traces
