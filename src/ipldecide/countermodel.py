@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from .formula import (AND, IMP, OR, VAR, Formula, FormulaSet, GoalUniverse,
                       build_universe, iter_bits)
 from .kripke import KripkeModel, forces, height_of, model_problems
-from .rules import Sequent, maximal_avoiding, minimal_shifts
+from .rules import (JoinParts, Sequent, axiom, maximal_avoiding, minimal_shifts,
+                    or_conclusion, retarget, shifted)
 from .search import (AX_IRR, AX_REG, JOIN_AT, JOIN_OR, RULE_AND, RULE_IMP_IN,
                      RULE_IMP_NOTIN, RULE_OR, DerivationStore, StoreNode)
 
@@ -222,21 +223,17 @@ class _ModelToDerivation:
         u = self.u
         f = u.sf[c]
         if (u.prime_mask >> c) & 1:
-            seq = Sequent(u, False, 0, 0, (u.gat & ~(1 << c)) | u.gimp, c)
-            nid = self._add(seq, AX_IRR, (), -1)
+            nid = self._add(axiom(u, c, False), AX_IRR, (), -1)
         elif f.kind == OR:
             n1 = self.irr_of[(w, u.pos[f.left.id])]
             n2 = self.irr_of[(w, u.pos[f.right.id])]
             s1, s2 = self.store.nodes[n1].seq, self.store.nodes[n2].seq
-            sigma = s1.sigma | s2.sigma
-            theta = (s1.theta & s2.theta) & ~sigma
-            nid = self._add(Sequent(u, False, 0, sigma, theta, c), RULE_OR, (n1, n2),
+            nid = self._add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2),
                             max(self.store.nodes[n1].rank, self.store.nodes[n2].rank))
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.irr_of[(w, k)]
-            ps = self.store.nodes[prem].seq
-            nid = self._add(Sequent(u, False, 0, ps.sigma, ps.theta, c), RULE_AND,
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND,
                             (prem,), self.store.nodes[prem].rank)
         else:  # implication
             a, b = u.pos[f.left.id], u.pos[f.right.id]
@@ -245,10 +242,8 @@ class _ModelToDerivation:
                 prem = self.irr_of[(w, b)]
                 ps = self.store.nodes[prem].seq
                 shifts = minimal_shifts(u, ps.sigma, star & ~ps.sigma, a)
-                lam = shifts[0]
-                nid = self._add(
-                    Sequent(u, False, 0, ps.sigma | lam, ps.theta & ~lam, c),
-                    RULE_IMP_IN, (prem,), self.store.nodes[prem].rank)
+                nid = self._add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,),
+                                self.store.nodes[prem].rank)
             else:
                 prem = self.reg_of[(eta, b)]
                 gamma = self.store.nodes[prem].seq.gamma
@@ -269,7 +264,7 @@ class _ModelToDerivation:
         star_imp = self.lam_star[w] & u.imp_mask
         if (u.prime_mask >> c) & 1:
             if not star_imp:
-                nid = self._add(Sequent(u, True, u.gat & ~(1 << c), 0, 0, c), AX_REG, (), 0)
+                nid = self._add(axiom(u, c, True), AX_REG, (), 0)
             else:
                 ups = sorted({u.ante[i] for i in iter_bits(star_imp)})
                 nid = self._join(w, ups, JOIN_AT, c)
@@ -280,39 +275,23 @@ class _ModelToDerivation:
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.reg_of[(w, k)]
-            nid = self._add(Sequent(u, True, self.store.nodes[prem].seq.gamma, 0, 0, c),
-                            RULE_AND, (prem,), self.store.nodes[prem].rank)
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,),
+                            self.store.nodes[prem].rank)
         else:
             eta = self._pick_eta(w, f.left, f.right)
             prem = self.reg_of[(eta, u.pos[f.right.id])]
-            nid = self._add(Sequent(u, True, self.store.nodes[prem].seq.gamma, 0, 0, c),
-                            RULE_IMP_IN, (prem,), self.store.nodes[prem].rank)
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN, (prem,),
+                            self.store.nodes[prem].rank)
         self.reg_of[(w, c)] = nid
         self.reg_hist.setdefault(c, []).append((w, nid))
         return nid
 
     def _join(self, w: int, ups: list[int], flavor: str, c: int) -> int:
-        u = self.u
         prems = [self.irr_of[(w, y)] for y in ups]
-        seqs = [self.store.nodes[p].seq for p in prems]
-        upset = set(ups)
-        sig_at = sig_imp = 0
-        th_at = th_imp_all = u.full_mask
-        for s in seqs:
-            sig_at |= s.sigma & u.var_mask
-            sig_imp |= s.sigma & u.imp_mask
-            th_at &= s.theta & u.var_mask
-            th_imp_all &= s.theta & u.imp_mask
-        th_imp = 0
-        for i in iter_bits(th_imp_all):
-            if u.ante[i] in upset:
-                th_imp |= 1 << i
-        if flavor == JOIN_AT:
-            gamma = sig_at | (th_at & ~(1 << c)) | sig_imp | th_imp
-        else:
-            gamma = sig_at | th_at | sig_imp | th_imp
+        parts = JoinParts([self.store.nodes[p].seq for p in prems])
+        gamma = parts.at_gamma(c) if flavor == JOIN_AT else parts.or_gamma()
         rank_ = max(self.store.nodes[p].rank for p in prems) + 1
-        return self._add(Sequent(u, True, gamma, 0, 0, c), flavor, tuple(prems), rank_)
+        return self._add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), rank_)
 
     def run(self) -> int:
         order = sorted(self.model.worlds(),

@@ -412,9 +412,6 @@ class GoalUniverse:
                 work.append((self.pos[f.left.id], not left))
         return sfl, sfr
 
-    def formula_at(self, i: int) -> Formula:
-        return self.sf[i]
-
     def position_of(self, f: Formula) -> int:
         try:
             return self.pos[f.id]

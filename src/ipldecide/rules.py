@@ -1,4 +1,4 @@
-"""Forward refutation sequents and one application function per rule.
+"""Forward refutation sequents and one kernel per rule.
 
 Two sequent shapes over a goal universe: regular ``Gamma => C`` (some world
 forces Gamma and refutes C) and irregular ``Sigma ; Theta -> C`` whose left
@@ -6,10 +6,15 @@ side is split into a stable part Sigma, preserved by joins, and a losable
 part Theta.  Left sides live inside the atom/implication slice of the left
 subformulas; right sides are right subformulas.
 
-Rule functions are pure: they validate the side conditions and build fresh
-canonical sequents, raising :class:`NotApplicable` (with the violated
-condition named) otherwise.  Premise-set enumeration for the join rules
-lives in the search module; this one only builds single instances.
+Each rule's conclusion is built by one mask-level kernel (:func:`axiom`,
+:func:`retarget`, :func:`or_conclusion`, :func:`shifted`, the two shift
+kernels and :class:`JoinParts`, plus :func:`covers` for the stable-coverage
+side condition).  The kernels check no side condition: the search and
+:func:`~ipldecide.countermodel.derivation_from_model` call them where the
+conditions hold, and the ``apply_*`` functions validate a single instance,
+raising :class:`NotApplicable` with the violated condition named, before
+calling them.  Premise-set enumeration for the join rules lives in the
+search module.
 """
 
 from __future__ import annotations
@@ -64,9 +69,6 @@ class Sequent:
             return f"{u.render_mask(self.gamma)} => {rhs}"
         return f"{u.render_mask(self.sigma)} ; {u.render_mask(self.theta)} -> {rhs}"
 
-    def rhs_formula(self) -> Formula:
-        return self.u.sf[self.rhs]
-
 
 def regular(u: GoalUniverse, gamma: int, rhs: int) -> Sequent:
     if gamma & ~u.gbar:
@@ -113,23 +115,88 @@ def subsumes(s1: Sequent, s2: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Axioms
+# Rule kernels
 # ---------------------------------------------------------------------------
+
+def axiom(u: GoalUniverse, f: int, is_regular: bool) -> Sequent:
+    """The axiom with prime right side ``f``: the regular one keeps every
+    left atom but f; the irregular one additionally carries every left
+    implication in its losable part."""
+    others = u.gat & ~(1 << f)
+    if is_regular:
+        return Sequent(u, True, others, 0, 0, f)
+    return Sequent(u, False, 0, 0, others | u.gimp, f)
+
 
 def axioms(u: GoalUniverse) -> list[Sequent]:
-    """For every prime right subformula F: the regular axiom keeps all left
-    atoms but F; the irregular one additionally carries every left
-    implication in its losable part."""
-    out = []
-    for f in u.prime_rhs:
-        others = u.gat & ~(1 << f)
-        out.append(regular(u, others, f))
-        out.append(irregular(u, 0, others | u.gimp, f))
-    return out
+    return [axiom(u, f, is_regular) for f in u.prime_rhs for is_regular in (True, False)]
+
+
+def covers(s1: Sequent, s2: Sequent) -> bool:
+    """The left side of irregular ``s2`` contains the stable part of ``s1``;
+    disjunction and join premises must cover one another pairwise."""
+    return not s1.sigma & ~(s2.sigma | s2.theta)
+
+
+def retarget(s: Sequent, t: int) -> Sequent:
+    """The premise's left side with right side ``t``: the conjunction rule,
+    and the implication rule whose antecedent the left side derives."""
+    return Sequent(s.u, s.regular, s.gamma, s.sigma, s.theta, t)
+
+
+def or_conclusion(p1: Sequent, p2: Sequent, t: int) -> Sequent:
+    """The disjunction rule on covering irregular premises: joined stable
+    parts, common losable part.  Each premise keeps its stable part out of
+    its losable part, so the two results are disjoint."""
+    return Sequent(p1.u, False, 0, p1.sigma | p2.sigma, p1.theta & p2.theta, t)
+
+
+def shifted(s: Sequent, lam: int, t: int) -> Sequent:
+    """Implication rule on an irregular premise: the losable chunk ``lam``
+    (a minimal shift) moves into the stable part."""
+    return Sequent(s.u, False, 0, s.sigma | lam, s.theta & ~lam, t)
+
+
+class JoinParts:
+    """What a join keeps of its irregular premises: the joined stable atoms
+    and implications, the common losable atoms, and the common losable
+    implications whose antecedent is among the right sides ``ups``.  The join
+    applies only when ``supported``: every stable implication's antecedent
+    is among ``ups``."""
+
+    __slots__ = ("ups", "sig_at", "sig_imp", "th_at", "th_imp", "supported")
+
+    def __init__(self, seqs: list[Sequent]):
+        u = seqs[0].u
+        self.ups = ups = frozenset(s.rhs for s in seqs)
+        sig_at = sig_imp = 0
+        th_at = th_imp = u.full_mask
+        for s in seqs:
+            sig_at |= s.sigma & u.var_mask
+            sig_imp |= s.sigma & u.imp_mask
+            th_at &= s.theta & u.var_mask
+            th_imp &= s.theta & u.imp_mask
+        self.sig_at = sig_at
+        self.sig_imp = sig_imp
+        self.th_at = th_at
+        self.th_imp = 0
+        for i in iter_bits(th_imp):
+            if u.ante[i] in ups:
+                self.th_imp |= 1 << i
+        self.supported = all(u.ante[i] in ups for i in iter_bits(sig_imp))
+
+    def at_gamma(self, t: int) -> int:
+        """Left side of the join onto prime ``t``, which the joined stable
+        atoms must not hold."""
+        return self.sig_at | (self.th_at & ~(1 << t)) | self.sig_imp | self.th_imp
+
+    def or_gamma(self) -> int:
+        """Left side of the join onto a disjunction of two right sides."""
+        return self.sig_at | self.th_at | self.sig_imp | self.th_imp
 
 
 # ---------------------------------------------------------------------------
-# Single-premise right rules
+# Validated single instances and the shift kernels
 # ---------------------------------------------------------------------------
 
 def _target_pos(u: GoalUniverse, target: Formula) -> int:
@@ -146,9 +213,7 @@ def apply_and(premise: Sequent, target: Formula) -> Sequent:
         raise NotApplicable("target is not a conjunction")
     if premise.rhs not in (u.pos[target.left.id], u.pos[target.right.id]):
         raise NotApplicable("premise right side is not a conjunct of the target")
-    if premise.regular:
-        return Sequent(u, True, premise.gamma, 0, 0, t)
-    return Sequent(u, False, 0, premise.sigma, premise.theta, t)
+    return retarget(premise, t)
 
 
 def apply_or(p1: Sequent, p2: Sequent, target: Formula) -> Sequent:
@@ -160,31 +225,33 @@ def apply_or(p1: Sequent, p2: Sequent, target: Formula) -> Sequent:
         raise NotApplicable("both premises must be irregular")
     if p1.rhs != u.pos[target.left.id] or p2.rhs != u.pos[target.right.id]:
         raise NotApplicable("premise right sides do not match the disjuncts")
-    if p1.sigma & ~(p2.sigma | p2.theta):
+    if not covers(p1, p2):
         raise NotApplicable("first stable part not covered by the second premise")
-    if p2.sigma & ~(p1.sigma | p1.theta):
+    if not covers(p2, p1):
         raise NotApplicable("second stable part not covered by the first premise")
-    sigma = p1.sigma | p2.sigma
-    # The intersection is already disjoint from sigma (each premise keeps its
-    # own stable part out of its losable part); the mask-out is a no-op kept
-    # to make the invariant locally obvious.
-    theta = (p1.theta & p2.theta) & ~sigma
-    return Sequent(u, False, 0, sigma, theta, t)
+    return or_conclusion(p1, p2, t)
 
 
-def apply_imp_in_regular(premise: Sequent, target: Formula) -> Sequent:
+def _imp_instance(premise: Sequent, target: Formula, is_regular: bool,
+                  ) -> tuple[int, int]:
+    """Validate an implication-rule instance whose premise must have the
+    given shape; returns the positions of the target and its antecedent."""
     u = premise.u
     t = _target_pos(u, target)
     if target.kind != IMP:
         raise NotApplicable("target is not an implication")
-    if not premise.regular:
-        raise NotApplicable("premise must be regular")
+    if premise.regular != is_regular:
+        raise NotApplicable("premise must be " + ("regular" if is_regular else "irregular"))
     if premise.rhs != u.pos[target.right.id]:
         raise NotApplicable("premise right side is not the consequent")
-    a = u.pos[target.left.id]
-    if not (u.closure(premise.gamma) >> a) & 1:
+    return t, u.pos[target.left.id]
+
+
+def apply_imp_in_regular(premise: Sequent, target: Formula) -> Sequent:
+    t, a = _imp_instance(premise, target, is_regular=True)
+    if not (premise.u.closure(premise.gamma) >> a) & 1:
         raise NotApplicable("antecedent not in the closure of the left side")
-    return Sequent(u, True, premise.gamma, 0, 0, t)
+    return retarget(premise, t)
 
 
 def _subset_order(mask: int) -> tuple[int, list[int]]:
@@ -261,71 +328,26 @@ def maximal_avoiding(u: GoalUniverse, available: int, a: int, require: int = 0,
 def apply_imp_in_irregular(premise: Sequent, target: Formula) -> list[Sequent]:
     """All shifts of a minimal losable chunk into the stable part that make
     the antecedent available; empty when no shift works."""
-    u = premise.u
-    if premise.regular or target.kind != IMP:
-        return []
-    t = u.pos.get(target.id)
-    if t is None or not (u.sfr >> t) & 1:
-        return []
-    if premise.rhs != u.pos[target.right.id]:
-        return []
-    a = u.pos[target.left.id]
-    out = []
-    for lam in minimal_shifts(u, premise.sigma, premise.theta, a):
-        out.append(Sequent(u, False, 0, premise.sigma | lam, premise.theta & ~lam, t))
-    return out
+    t, a = _imp_instance(premise, target, is_regular=False)
+    return [shifted(premise, lam, t)
+            for lam in minimal_shifts(premise.u, premise.sigma, premise.theta, a)]
 
 
 def apply_imp_notin(premise: Sequent, target: Formula) -> list[Sequent]:
     """Regular premise to irregular conclusions with empty stable part: one
-    per maximal losable set that still leaves the antecedent underivable."""
+    per maximal losable set that still leaves the antecedent underivable;
+    empty when the left side does not derive the antecedent."""
+    t, a = _imp_instance(premise, target, is_regular=True)
     u = premise.u
-    if not premise.regular or target.kind != IMP:
-        return []
-    t = u.pos.get(target.id)
-    if t is None or not (u.sfr >> t) & 1:
-        return []
-    if premise.rhs != u.pos[target.right.id]:
-        return []
-    a = u.pos[target.left.id]
     cl = u.closure(premise.gamma)
     if not (cl >> a) & 1:
         return []
-    available = cl & u.gbar
-    return [Sequent(u, False, 0, 0, th, t)
-            for th in maximal_avoiding(u, available, a)]
+    return [Sequent(u, False, 0, 0, th, t) for th in maximal_avoiding(u, cl & u.gbar, a)]
 
 
 # ---------------------------------------------------------------------------
 # Join rules
 # ---------------------------------------------------------------------------
-
-def _join_parts(premises: list[Sequent]) -> tuple[int, int, int, int, set[int]]:
-    u = premises[0].u
-    ups = {p.rhs for p in premises}
-    for i, pi in enumerate(premises):
-        for j, pj in enumerate(premises):
-            if i != j and pi.sigma & ~(pj.sigma | pj.theta):
-                raise NotApplicable(
-                    "stable parts not pairwise covered "
-                    f"({pi.render()} vs {pj.render()})")
-    sig_at = sig_imp = 0
-    th_at = th_imp = u.full_mask
-    for p in premises:
-        sig_at |= p.sigma & u.var_mask
-        sig_imp |= p.sigma & u.imp_mask
-        th_at &= p.theta & u.var_mask
-        th_imp &= p.theta & u.imp_mask
-    for i in iter_bits(sig_imp):
-        if u.ante[i] not in ups:
-            raise NotApplicable(
-                f"stable implication {to_text(u.sf[i])} is unsupported")
-    th_imp_restricted = 0
-    for i in iter_bits(th_imp):
-        if u.ante[i] in ups:
-            th_imp_restricted |= 1 << i
-    return sig_at, sig_imp, th_at, th_imp_restricted, ups
-
 
 def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Sequent:
     """Join irregular premises into one regular sequent.
@@ -342,7 +364,16 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
     u = premises[0].u
     if any(p.regular for p in premises):
         raise NotApplicable("join premises must be irregular")
-    sig_at, sig_imp, th_at, th_imp, ups = _join_parts(premises)
+    for p in premises:
+        for q in premises:
+            if not covers(p, q):
+                raise NotApplicable(
+                    f"stable parts not pairwise covered ({p.render()} vs {q.render()})")
+    parts = JoinParts(premises)
+    ups = parts.ups
+    if not parts.supported:
+        i = next(i for i in iter_bits(parts.sig_imp) if u.ante[i] not in ups)
+        raise NotApplicable(f"stable implication {to_text(u.sf[i])} is unsupported")
     t = _target_pos(u, target)
     if flavor == "at":
         for y in ups:
@@ -351,10 +382,9 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
                     f"{to_text(u.sf[y])} is not an antecedent on the left of the goal")
         if not (u.prime_mask >> t) & 1:
             raise NotApplicable("target is not prime")
-        if (sig_at >> t) & 1:
+        if (parts.sig_at >> t) & 1:
             raise NotApplicable("target occurs in the joined stable atoms")
-        gamma = sig_at | (th_at & ~(1 << t)) | sig_imp | th_imp
-        return Sequent(u, True, gamma, 0, 0, t)
+        return Sequent(u, True, parts.at_gamma(t), 0, 0, t)
     if flavor == "or":
         for y in ups:
             if not (u.ps4_mask >> y) & 1:
@@ -365,6 +395,5 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
             raise NotApplicable("target is not a disjunction")
         if u.pos[target.left.id] not in ups or u.pos[target.right.id] not in ups:
             raise NotApplicable("both disjuncts must occur among the premises")
-        gamma = sig_at | th_at | sig_imp | th_imp
-        return Sequent(u, True, gamma, 0, 0, t)
+        return Sequent(u, True, parts.or_gamma(), 0, 0, t)
     raise NotApplicable(f"unknown join flavor {flavor!r}")

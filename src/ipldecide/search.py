@@ -29,8 +29,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .formula import Formula, GoalUniverse, build_universe, iter_bits
-from .rules import Sequent, axioms, minimal_shifts, maximal_avoiding, subsumes
+from .formula import Formula, GoalUniverse, build_universe
+from .rules import (JoinParts, Sequent, axioms, covers, maximal_avoiding, minimal_shifts,
+                    or_conclusion, retarget, shifted, subsumes)
 
 AX_REG, AX_IRR = "ax=>", "ax->"
 RULE_AND, RULE_OR, RULE_IMP_IN, RULE_IMP_NOTIN = "and", "or", "imp-in", "imp-notin"
@@ -170,9 +171,6 @@ class Database:
     def sequents(self) -> list[Sequent]:
         return [self.store.nodes[n].seq for n in sorted(self.entries)]
 
-    def regular_entries(self) -> list[int]:
-        return [n for n in sorted(self.entries) if self.store.nodes[n].seq.regular]
-
     def irregular_entries(self) -> list[int]:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
 
@@ -264,32 +262,15 @@ def is_saturated_against(db: Database, oracle_db: Database) -> bool:
     return True
 
 
-class JoinCandidateSet:
+class JoinCandidateSet(JoinParts):
     """Irregular premises that pairwise satisfy the stable-coverage side
     condition, with distinct admissible right sides; caches the joined parts."""
 
-    __slots__ = ("members", "ups", "sig_at", "sig_imp", "th_at", "th_imp",
-                 "supported", "ups_in_ps3", "needed_rank")
+    __slots__ = ("members", "ups_in_ps3", "needed_rank")
 
     def __init__(self, u: GoalUniverse, store: DerivationStore, members: tuple[int, ...]):
+        super().__init__([store.nodes[m].seq for m in members])
         self.members = members
-        seqs = [store.nodes[m].seq for m in members]
-        self.ups = frozenset(s.rhs for s in seqs)
-        sig_at = sig_imp = 0
-        th_at = th_imp = u.full_mask
-        for s in seqs:
-            sig_at |= s.sigma & u.var_mask
-            sig_imp |= s.sigma & u.imp_mask
-            th_at &= s.theta & u.var_mask
-            th_imp &= s.theta & u.imp_mask
-        self.sig_at = sig_at
-        self.sig_imp = sig_imp
-        self.th_at = th_at
-        self.th_imp = 0
-        for i in iter_bits(th_imp):
-            if u.ante[i] in self.ups:
-                self.th_imp |= 1 << i
-        self.supported = all(u.ante[i] in self.ups for i in iter_bits(sig_imp))
         self.ups_in_ps3 = all((u.ps3_mask >> y) & 1 for y in self.ups)
         self.needed_rank = max(store.nodes[m].rank for m in members) + 1
 
@@ -340,7 +321,6 @@ class SearchState:
         self.by_member: dict[int, set[frozenset[int]]] = {}
         self.pending: deque[frozenset[int]] = deque()
         self.blocked: list[frozenset[int]] = []
-        self._compat: dict[tuple[int, int], bool] = {}
         self.db.removal_listeners.append(self._on_removed)
 
     # -- insertion ---------------------------------------------------------
@@ -365,17 +345,6 @@ class SearchState:
 
     # -- join candidate maintenance ----------------------------------------
 
-    def _compatible(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        hit = self._compat.get(key)
-        if hit is None:
-            sa = self.store.nodes[a].seq
-            sb = self.store.nodes[b].seq
-            hit = not (sa.sigma & ~(sb.sigma | sb.theta)) and \
-                not (sb.sigma & ~(sa.sigma | sa.theta))
-            self._compat[key] = hit
-        return hit
-
     def _register_set(self, members: tuple[int, ...]) -> None:
         key = frozenset(members)
         if key in self.sets:
@@ -390,11 +359,13 @@ class SearchState:
         seq = self.store.nodes[nid].seq
         if not (self.u.ps4_mask >> seq.rhs) & 1:
             return
+        nodes = self.store.nodes
         extensions = []
-        for key, cs in self.sets.items():
+        for cs in self.sets.values():
             if seq.rhs in cs.ups:
                 continue
-            if all(self._compatible(m, nid) for m in cs.members):
+            if all(covers(nodes[m].seq, seq) and covers(seq, nodes[m].seq)
+                   for m in cs.members):
                 extensions.append(cs.members)
         for members in extensions:
             self._register_set(tuple(sorted(members + (nid,))))
@@ -427,13 +398,11 @@ class SearchState:
         u = self.u
         rank = cs.needed_rank
         if cs.ups_in_ps3:
-            base = cs.sig_at | cs.sig_imp | cs.th_imp
             for f in u.prime_rhs:
-                if (cs.sig_at >> f) & 1:
-                    continue
-                gamma = base | (cs.th_at & ~(1 << f))
-                self._insert(Sequent(u, True, gamma, 0, 0, f), JOIN_AT, cs.members, rank)
-        gamma_or = cs.sig_at | cs.th_at | cs.sig_imp | cs.th_imp
+                if not (cs.sig_at >> f) & 1:
+                    self._insert(Sequent(u, True, cs.at_gamma(f), 0, 0, f), JOIN_AT,
+                                 cs.members, rank)
+        gamma_or = cs.or_gamma()
         for t, c1, c2 in u.or_targets:
             if c1 in cs.ups and c2 in cs.ups:
                 self._insert(Sequent(u, True, gamma_or, 0, 0, t), JOIN_OR, cs.members, rank)
@@ -478,12 +447,12 @@ class SearchState:
         u = self.u
         seq = node.seq
         for t in u.and_targets.get(seq.rhs, ()):
-            self._insert(Sequent(u, True, seq.gamma, 0, 0, t), RULE_AND, (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_AND, (sid,), node.rank)
         cl = u.closure(seq.gamma)
         for t, a in u.imp_targets.get(seq.rhs, ()):
             if not (cl >> a) & 1:
                 continue
-            self._insert(Sequent(u, True, seq.gamma, 0, 0, t), RULE_IMP_IN, (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_IMP_IN, (sid,), node.rank)
             for th in maximal_avoiding(u, cl & u.gbar, a):
                 self._insert(Sequent(u, False, 0, 0, th, t), RULE_IMP_NOTIN, (sid,),
                              node.rank)
@@ -492,12 +461,10 @@ class SearchState:
         u = self.u
         seq = node.seq
         for t in u.and_targets.get(seq.rhs, ()):
-            self._insert(Sequent(u, False, 0, seq.sigma, seq.theta, t), RULE_AND,
-                         (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_AND, (sid,), node.rank)
         for t, a in u.imp_targets.get(seq.rhs, ()):
             for lam in minimal_shifts(u, seq.sigma, seq.theta, a):
-                self._insert(Sequent(u, False, 0, seq.sigma | lam, seq.theta & ~lam, t),
-                             RULE_IMP_IN, (sid,), node.rank)
+                self._insert(shifted(seq, lam, t), RULE_IMP_IN, (sid,), node.rank)
         for t, c1, c2 in u.or_targets:
             if seq.rhs == c1:
                 for pid in sorted(self.db.by_rhs.get(c2, ())):
@@ -511,14 +478,9 @@ class SearchState:
         b = self.store.nodes[rid]
         if a.seq.regular or b.seq.regular:
             return
-        if a.seq.sigma & ~(b.seq.sigma | b.seq.theta):
-            return
-        if b.seq.sigma & ~(a.seq.sigma | a.seq.theta):
-            return
-        sigma = a.seq.sigma | b.seq.sigma
-        theta = (a.seq.theta & b.seq.theta) & ~sigma
-        self._insert(Sequent(self.u, False, 0, sigma, theta, t), RULE_OR, (lid, rid),
-                     max(a.rank, b.rank))
+        if covers(a.seq, b.seq) and covers(b.seq, a.seq):
+            self._insert(or_conclusion(a.seq, b.seq, t), RULE_OR, (lid, rid),
+                         max(a.rank, b.rank))
 
     def _flush_stats(self) -> None:
         if self.collect_stats:

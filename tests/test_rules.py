@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse
-from ipldecide.generate import random_formulas
+from ipldecide.generate import nishimura, random_formulas
 from ipldecide.rules import (NotApplicable, Weight, apply_and,
                              apply_imp_in_irregular, apply_imp_in_regular,
                              apply_imp_notin, apply_join, apply_or, axioms,
@@ -226,6 +227,28 @@ def test_apply_imp_notin_scott(scott_u):
     assert outs == [sequent_of_line(scott_u, SCOTT_LINES[8])]
 
 
+def test_malformed_implication_instances_are_rejected(scott_u):
+    # An empty list means "no shift works" or "the antecedent is not
+    # derivable"; a malformed instance raises instead.
+    irr = sequent_of_line(scott_u, SCOTT_LINES[1])  # right side false
+    reg = sequent_of_line(scott_u, SCOTT_LINES[5])  # right side false
+    cases = [
+        (apply_imp_in_irregular, reg, "~p", "must be irregular"),
+        (apply_imp_notin, irr, "~p", "must be regular"),
+        (apply_imp_in_irregular, irr, "~~p | ~p", "not an implication"),
+        (apply_imp_notin, reg, "~~p | ~p", "not an implication"),
+        (apply_imp_in_irregular, irr, "(~~p -> p) -> (~p | p)", "not a right subformula"),
+        (apply_imp_notin, reg, "(~~p -> p) -> (~p | p)", "not a right subformula"),
+        (apply_imp_in_irregular, irr, "~~p -> p", "not the consequent"),
+        (apply_imp_notin, reg, "~~p -> p", "not the consequent"),
+    ]
+    for rule, prem, target, message in cases:
+        with pytest.raises(NotApplicable, match=message):
+            rule(prem, parse(target))
+    # The left side ~p does not derive p: no conclusion, and no error.
+    assert apply_imp_notin(reg, parse("~p")) == []
+
+
 def test_apply_join_scott(scott_u):
     u = scott_u
     out = apply_join([sequent_of_line(u, SCOTT_LINES[4]),
@@ -374,37 +397,51 @@ def _enlarge(u, rng, s):
     return irregular(u, s.sigma, s.theta | (extra & ~s.sigma), s.rhs)
 
 
-def test_rule_applications_respect_subsumption(valid_e_u, scott_u):
-    # Replacing premises by subsuming sequents keeps the rule applicable and
-    # the new conclusion subsumes the old one.
+def _apply_stored_rule(u, node, prems):
+    """The conclusions of ``node``'s rule on ``prems``, as a list."""
+    target = u.sf[node.seq.rhs]
+    if node.rule == "and":
+        return [apply_and(prems[0], target)]
+    if node.rule == "or":
+        return [apply_or(prems[0], prems[1], target)]
+    if node.rule == "imp-in" and node.seq.regular:
+        return [apply_imp_in_regular(prems[0], target)]
+    if node.rule == "imp-in":
+        return apply_imp_in_irregular(prems[0], target)
+    if node.rule == "imp-notin":
+        return apply_imp_notin(prems[0], target)
+    return [apply_join(prems, "at" if node.rule == "join-at" else "or", target)]
+
+
+def test_rule_applications_respect_subsumption(valid_e_u, scott_u, kp_u):
+    # On the stored premises the rule gives back the stored conclusion (one
+    # of several for the shift rules).  Replacing premises by subsuming
+    # sequents keeps the rule applicable and the new conclusion subsumes the
+    # old one.  Both for the search's derivations and for those rebuilt
+    # from countermodels.
     rng = random.Random(9)
-    for u in (valid_e_u, scott_u):
+    extra = [build_universe(nishimura(8)),
+             build_universe(parse("(a -> b & c) -> (a -> b) & ~~c | ~a"))]
+    for u in [valid_e_u, scott_u, kp_u] + extra:
         outcome = fsearch(u)
-        store = outcome.db.store
-        for node in store.nodes:
-            prems = [store.nodes[p].seq for p in node.premises]
-            if not prems:
-                continue
-            bigger = [_enlarge(u, rng, p) for p in prems]
-            if node.rule == "and":
-                out = apply_and(bigger[0], u.sf[node.seq.rhs])
-                assert subsumes(node.seq, out)
-            elif node.rule == "or":
-                out = apply_or(bigger[0], bigger[1], u.sf[node.seq.rhs])
-                assert subsumes(node.seq, out)
-            elif node.rule == "imp-in" and node.seq.regular:
-                out = apply_imp_in_regular(bigger[0], u.sf[node.seq.rhs])
-                assert subsumes(node.seq, out)
-            elif node.rule == "imp-in":
-                outs = apply_imp_in_irregular(bigger[0], u.sf[node.seq.rhs])
+        stores = [outcome.store]
+        if outcome.is_proof:
+            model = extract_model(outcome.store, outcome.root).model
+            stores.append(derivation_from_model(model, u)[0])
+        for store in stores:
+            for node in store.nodes:
+                prems = [store.nodes[p].seq for p in node.premises]
+                if not prems:
+                    continue
+                outs = _apply_stored_rule(u, node, prems)
+                if node.rule == "imp-notin" or (node.rule == "imp-in"
+                                                and not node.seq.regular):
+                    assert node.seq in outs
+                else:
+                    assert outs == [node.seq]
+                bigger = [_enlarge(u, rng, p) for p in prems]
+                outs = _apply_stored_rule(u, node, bigger)
                 assert any(subsumes(node.seq, o) for o in outs)
-            elif node.rule == "imp-notin":
-                outs = apply_imp_notin(bigger[0], u.sf[node.seq.rhs])
-                assert any(subsumes(node.seq, o) for o in outs)
-            elif node.rule in ("join-at", "join-or"):
-                flavor = "at" if node.rule == "join-at" else "or"
-                out = apply_join(bigger, flavor, u.sf[node.seq.rhs])
-                assert subsumes(node.seq, out)
 
 
 def test_unprovable_context_sequent_never_appears():

@@ -254,3 +254,23 @@ def test_shift_kernels_reproduce_the_subset_enumeration_runs(monkeypatch):
         monkeypatch.setattr(module, "minimal_shifts", brute_minimal_shifts)
         monkeypatch.setattr(module, "maximal_avoiding", brute_maximal_avoiding)
     assert [_saturation_trace(g, mh) for g, mh in goals] == traces
+
+
+def test_telemetry_hooks_are_called_through_the_search_module(monkeypatch):
+    # The benchmark's per-layer counters wrap these names in ``search``; a
+    # search that bypassed them would make those counters read 0.
+    names = ("minimal_shifts", "maximal_avoiding", "subsumes", "JoinCandidateSet")
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
+    for goal, min_height in ((_chain(6), False), (nishimura(8), True)):
+        counts.update(dict.fromkeys(names, 0))
+        fsearch(goal, min_height=min_height)
+        assert min(counts.values()) > 0, counts
