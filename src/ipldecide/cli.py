@@ -1,9 +1,11 @@
 """Command-line front end: decide formulas, emit certificates, run audits.
 
 Exit codes of ``decide``: 0 every input formula is valid, 1 some formula is
-not (its countermodel is emitted), 2 parse error, 3 internal invariant
-failure.  Every certificate is re-verified before it is printed; an
-unverifiable certificate is a bug and exits 3.
+not (its countermodel is emitted), 2 some line did not parse or the input
+could not be read, 3 internal invariant failure.  A line that does not
+parse is reported on stderr and the other lines are still decided.  Every
+certificate is re-verified before it is printed; an unverifiable
+certificate is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -20,9 +22,25 @@ from .search import fsearch, minimum_compact
 EXIT_VALID, EXIT_NONVALID, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _read_formulas(source: str) -> list[str]:
-    text = sys.stdin.read() if source == "-" else open(source).read()
-    return [line.strip() for line in text.splitlines() if line.strip()]
+def _read_formulas(source: str) -> tuple[list[Formula], bool]:
+    """Parse every non-blank line of ``source``; report each line that does
+    not parse on stderr and say whether any did not."""
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
+    goals, failed = [], False
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            goals.append(parse(line))
+        except ParseError as exc:
+            print(f"parse error: line {n}: {exc.message} at column {exc.col}",
+                  file=sys.stderr)
+            failed = True
+    return goals, failed
 
 
 def _write(path: str | None, content: str) -> None:
@@ -95,15 +113,11 @@ def _decide_one(goal: Formula, args) -> tuple[int, dict]:
 
 def cmd_decide(args) -> int:
     try:
-        texts = _read_formulas(args.input)
-        goals = [parse(t) for t in texts]
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        goals, parse_failed = _read_formulas(args.input)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    worst = EXIT_VALID
+    worst = EXIT_PARSE if parse_failed else EXIT_VALID
     for goal in goals:
         code, report = _decide_one(goal, args)
         if args.format == "structured":
@@ -171,10 +185,9 @@ def _audit_one(goal: Formula) -> list[tuple[str, bool]]:
 
 def cmd_audit(args) -> int:
     try:
-        texts = _read_formulas(args.input)
-        goals = [parse(t) for t in texts]
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        goals, parse_failed = _read_formulas(args.input)
+    except OSError as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     failed = 0
     for goal in goals:
@@ -182,7 +195,9 @@ def cmd_audit(args) -> int:
         for name, ok in _audit_one(goal):
             print(f"  {'PASS' if ok else 'FAIL'}  {name}")
             failed += 0 if ok else 1
-    return EXIT_VALID if failed == 0 else EXIT_INTERNAL
+    if failed:
+        return EXIT_INTERNAL
+    return EXIT_PARSE if parse_failed else EXIT_VALID
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -136,6 +136,7 @@ def size(f: Formula) -> int:
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -8,6 +8,16 @@ entries and, transitively, every entry whose stored derivation used one;
 retired store nodes are tombstoned, never deleted, so earlier proofs stay
 replayable.
 
+Both subsumption checks go through an index built from the definition of
+``rules.subsumes``: a regular sequent can only be subsumed by a regular one
+with the same right side and a left side holding its own, an irregular one
+only by an irregular one with the same right side and stable part and a
+losable part holding its own.  So the database keeps one bucket per
+``(True, rhs)`` and per ``(False, rhs, sigma)``, and grades each bucket by
+the size of that mask.  Forward subsumption looks up the exact mask and
+scans only the larger grades; backward subsumption scans only the smaller
+ones.
+
 Join rules are driven by an incrementally maintained list of candidate
 premise sets: pairwise coverage of the stable parts, pairwise distinct
 right sides, and every right side admissible as a join participant (it
@@ -147,8 +157,25 @@ class InsertResult:
     BACKWARD_REPLACED = "backward-replaced"
 
 
+def _index_key(seq: Sequent) -> tuple[tuple, int]:
+    """The subsumption bucket of ``seq`` and its mask within the bucket."""
+    if seq.regular:
+        return (True, seq.rhs), seq.gamma
+    return (False, seq.rhs, seq.sigma), seq.theta
+
+
 class Database:
-    """The set of currently live proved sequents, indexed by right side."""
+    """The set of currently live proved sequents.
+
+    ``entries`` holds the live node ids and ``by_rhs`` groups them by right
+    side.  A private subsumption index keeps one bucket per ``(True, rhs)``
+    for regular entries (mask Gamma) and per ``(False, rhs, sigma)`` for
+    irregular ones (mask Theta), graded by mask size into ``{mask: nid}``
+    dicts.  An entry subsuming a sequent sits in the sequent's bucket with
+    the same or a strictly larger mask, and an entry the sequent strictly
+    subsumes with a strictly smaller one; every candidate found this way is
+    confirmed by ``subsumes``.  Retiring an entry may leave an empty grade.
+    """
 
     def __init__(self, universe: GoalUniverse, store: DerivationStore | None = None,
                  compact_mode: bool = True):
@@ -158,6 +185,7 @@ class Database:
         self.entries: set[int] = set()
         self.by_rhs: dict[int, set[int]] = {}
         self.removal_listeners: list = []
+        self._index: dict[tuple, dict[int, dict[int, int]]] = {}
 
     def __contains__(self, nid: int) -> bool:
         return nid in self.entries
@@ -175,46 +203,80 @@ class Database:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
 
     def find_goal(self) -> Optional[int]:
-        hits = [n for n in self.by_rhs.get(self.u.goal_pos, ())
-                if self.store.nodes[n].seq.regular]
-        return min(hits) if hits else None
+        grades = self._index.get((True, self.u.goal_pos), {})
+        return min((min(g.values()) for g in grades.values() if g), default=None)
+
+    def _link(self, nid: int, seq: Sequent) -> tuple[dict[int, dict[int, int]], int, int]:
+        """Make ``nid`` (holding ``seq``) live; returns its index bucket,
+        its mask and the mask's size."""
+        self.entries.add(nid)
+        self.by_rhs.setdefault(seq.rhs, set()).add(nid)
+        key, mask = _index_key(seq)
+        k = mask.bit_count()
+        grades = self._index.setdefault(key, {})
+        grades.setdefault(k, {})[mask] = nid
+        return grades, mask, k
 
     def _unlink(self, nid: int) -> None:
+        seq = self.store.nodes[nid].seq
         self.entries.discard(nid)
-        self.by_rhs.get(self.store.nodes[nid].seq.rhs, set()).discard(nid)
+        self.by_rhs.get(seq.rhs, set()).discard(nid)
+        key, mask = _index_key(seq)
+        del self._index[key][mask.bit_count()][mask]
+
+    def _subsumer(self, seq: Sequent) -> Optional[int]:
+        """An entry subsuming ``seq``, one with a strictly larger mask if
+        any: an entry of the database gets itself back exactly when no other
+        entry subsumes it."""
+        key, mask = _index_key(seq)
+        grades = self._index.get(key)
+        if not grades:
+            return None
+        nodes = self.store.nodes
+        k = mask.bit_count()
+        for size, group in grades.items():
+            if size > k:
+                for m, e in group.items():
+                    if not mask & ~m and subsumes(seq, nodes[e].seq):
+                        return e
+        e = grades.get(k, {}).get(mask)
+        return e if e is not None and subsumes(seq, nodes[e].seq) else None
 
     def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
                iteration: int = 0, rank: int = 0) -> InsertResult:
         """Forward subsumption check, then store; in compact mode also retire
         every strictly subsumed entry together with its stored consequences."""
-        same_rhs = self.by_rhs.get(seq.rhs)
-        if same_rhs:
-            for e in same_rhs:
-                if subsumes(seq, self.store.nodes[e].seq):
-                    return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
+        e = self._subsumer(seq)
+        if e is not None:
+            return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
         nid, _created = self.store.add(seq, rule, premises, iteration, rank)
-        self.entries.add(nid)
-        self.by_rhs.setdefault(seq.rhs, set()).add(nid)
+        grades, mask, k = self._link(nid, seq)
+        doomed = []
+        if self.compact_mode:
+            nodes = self.store.nodes
+            for size, group in grades.items():
+                if size < k:
+                    for m, e in group.items():
+                        if not m & ~mask and subsumes(nodes[e].seq, seq):
+                            doomed.append(e)
+        if not doomed:
+            return InsertResult(InsertResult.ADDED, node=nid)
+        doomed.sort()
         removed: list[tuple[int, Optional[int]]] = []
-        if self.compact_mode and same_rhs:
-            doomed = [e for e in sorted(same_rhs)
-                      if e != nid and subsumes(self.store.nodes[e].seq, seq)]
-            queue = deque((e, nid) for e in doomed)
-            while queue:
-                e, repl = queue.popleft()
-                if e not in self.entries:
-                    continue
-                self._unlink(e)
-                removed.append((e, repl))
-                for c in self.store.consumers.get(e, ()):
-                    if c in self.entries:
-                        queue.append((c, None))
-        if removed:
-            for listener in self.removal_listeners:
-                listener(removed)
-            return InsertResult(InsertResult.BACKWARD_REPLACED, node=nid,
-                                removed=tuple(e for e, _ in removed))
-        return InsertResult(InsertResult.ADDED, node=nid)
+        queue = deque((e, nid) for e in doomed)
+        while queue:
+            e, repl = queue.popleft()
+            if e not in self.entries:
+                continue
+            self._unlink(e)
+            removed.append((e, repl))
+            for c in self.store.consumers.get(e, ()):
+                if c in self.entries:
+                    queue.append((c, None))
+        for listener in self.removal_listeners:
+            listener(removed)
+        return InsertResult(InsertResult.BACKWARD_REPLACED, node=nid,
+                            removed=tuple(e for e, _ in removed))
 
     def dump(self, annotated: bool = False) -> str:
         """Canonical dump: one sequent per line, sorted by content so that
@@ -239,27 +301,16 @@ def minimum_compact(db: Database) -> Database:
     """Drop every entry strictly subsumed by another; insertion-order free."""
     out = Database(db.u, db.store, compact_mode=db.compact_mode)
     for nid in db.entries:
-        s = db.store.nodes[nid].seq
-        keep = True
-        for other in db.by_rhs.get(s.rhs, ()):
-            o = db.store.nodes[other].seq
-            if other != nid and subsumes(s, o) and s != o:
-                keep = False
-                break
-        if keep:
-            out.entries.add(nid)
-            out.by_rhs.setdefault(s.rhs, set()).add(nid)
+        seq = db.store.nodes[nid].seq
+        if db._subsumer(seq) == nid:
+            out._link(nid, seq)
     return out
 
 
 def is_saturated_against(db: Database, oracle_db: Database) -> bool:
     """Every entry of ``oracle_db`` is subsumed by some entry of ``db``."""
-    for nid in oracle_db.entries:
-        s = oracle_db.store.nodes[nid].seq
-        if not any(subsumes(s, db.store.nodes[e].seq)
-                   for e in db.by_rhs.get(s.rhs, ())):
-            return False
-    return True
+    return all(db._subsumer(oracle_db.store.nodes[nid].seq) is not None
+               for nid in oracle_db.entries)
 
 
 class JoinCandidateSet(JoinParts):

@@ -35,6 +35,26 @@ def test_decide_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_decide_batch_with_bad_lines_decides_the_rest(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("p -> p\np -> (\n\n" + SCOTT + "\n  q &\n")
+    code, out, err = run(capsys, "decide", str(src))
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == ["valid", "non-valid"]
+    assert err.splitlines() == [
+        "parse error: line 2: expected a formula, found 'end of input' at column 7",
+        "parse error: line 5: expected a formula, found 'end of input' at column 6"]
+
+
+def test_audit_batch_with_a_bad_line_audits_the_rest(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("p) \n" + "p -> p\n")
+    code, out, err = run(capsys, "audit", str(src))
+    assert code == 2
+    assert "FAIL" not in out and out.count("audit ") == 1
+    assert err == "parse error: line 1: unexpected trailing input ')' at column 2\n"
+
+
 def test_decide_writes_artifacts(tmp_path, capsys):
     src = tmp_path / "f.txt"
     src.write_text(KP + "\n")

@@ -1,11 +1,15 @@
+from collections import deque
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ipldecide import countermodel, search
 from ipldecide.countermodel import derivation_from_model, extract_model
-from ipldecide.formula import build_universe, parse
+from ipldecide.formula import build_universe, iter_bits, parse
 from ipldecide.generate import nishimura
 from ipldecide.kripke import height
-from ipldecide.rules import subsumes
+from ipldecide.rules import Sequent, subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
                               IterationBudgetExceeded, SearchOutcome,
                               SearchState, fsearch, is_saturated_against,
@@ -274,3 +278,122 @@ def test_telemetry_hooks_are_called_through_the_search_module(monkeypatch):
         counts.update(dict.fromkeys(names, 0))
         fsearch(goal, min_height=min_height)
         assert min(counts.values()) > 0, counts
+
+
+# -- subsumption index against the linear scan ------------------------------------
+
+class LinearScanDatabase(Database):
+    """``Database`` before the subsumption index: both subsumption checks
+    scan every entry with the same right side (the reference)."""
+
+    def find_goal(self):
+        hits = [n for n in self.by_rhs.get(self.u.goal_pos, ())
+                if self.store.nodes[n].seq.regular]
+        return min(hits) if hits else None
+
+    def _unlink(self, nid):
+        self.entries.discard(nid)
+        self.by_rhs.get(self.store.nodes[nid].seq.rhs, set()).discard(nid)
+
+    def insert(self, seq, rule, premises=(), iteration=0, rank=0):
+        same_rhs = self.by_rhs.get(seq.rhs)
+        if same_rhs:
+            for e in same_rhs:
+                if subsumes(seq, self.store.nodes[e].seq):
+                    return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
+        nid, _created = self.store.add(seq, rule, premises, iteration, rank)
+        self.entries.add(nid)
+        self.by_rhs.setdefault(seq.rhs, set()).add(nid)
+        removed = []
+        if self.compact_mode and same_rhs:
+            doomed = [e for e in sorted(same_rhs)
+                      if e != nid and subsumes(self.store.nodes[e].seq, seq)]
+            queue = deque((e, nid) for e in doomed)
+            while queue:
+                e, repl = queue.popleft()
+                if e not in self.entries:
+                    continue
+                self._unlink(e)
+                removed.append((e, repl))
+                for c in self.store.consumers.get(e, ()):
+                    if c in self.entries:
+                        queue.append((c, None))
+        if removed:
+            for listener in self.removal_listeners:
+                listener(removed)
+            return InsertResult(InsertResult.BACKWARD_REPLACED, node=nid,
+                                removed=tuple(e for e, _ in removed))
+        return InsertResult(InsertResult.ADDED, node=nid)
+
+
+def linear_minimum_compact(db):
+    out = LinearScanDatabase(db.u, db.store, compact_mode=db.compact_mode)
+    for nid in db.entries:
+        s = db.store.nodes[nid].seq
+        if not any(other != nid and subsumes(s, db.store.nodes[other].seq)
+                   and s != db.store.nodes[other].seq
+                   for other in db.by_rhs.get(s.rhs, ())):
+            out.entries.add(nid)
+            out.by_rhs.setdefault(s.rhs, set()).add(nid)
+    return out
+
+
+# Two right sides and two stable parts over four left positions, so that
+# regular and irregular sequents share right sides and irregular ones share
+# stable parts; premises are earlier store nodes, so retiring one cascades.
+_INDEX_U = build_universe(parse("(a -> b) & (c -> d) & a & c -> b | d"))
+_INDEX_LEFT = list(iter_bits(_INDEX_U.gbar))[:4]
+_INDEX_RHS = [_INDEX_U.position_of(parse(t)) for t in ("b", "b | d")]
+_insert_ops = st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 1),
+                                 st.integers(0, 15), st.lists(st.integers(0, 99), max_size=2)),
+                       max_size=40)
+
+
+def _index_sequent(regular, rhs, sigma, bits):
+    mask = sum(1 << p for i, p in enumerate(_INDEX_LEFT) if (bits >> i) & 1)
+    if regular:
+        return Sequent(_INDEX_U, True, mask, 0, 0, _INDEX_RHS[rhs])
+    return Sequent(_INDEX_U, False, 0, sigma and 1 << _INDEX_LEFT[0],
+                   mask & ~(1 << _INDEX_LEFT[0]) if sigma else mask, _INDEX_RHS[rhs])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), _insert_ops)
+# The size-2 grade precedes the size-1 grade in the bucket, so the last
+# insert finds node 2 before node 1; both are retired in node order.
+@example(True, [(True, 0, 0, 0b0011, []), (True, 0, 0, 0b1000, []),
+                (True, 0, 0, 0b0101, []), (True, 0, 0, 0b1101, [])])
+def test_subsumption_index_matches_the_linear_scan(compact_mode, ops):
+    dbs = [Database(_INDEX_U, compact_mode=compact_mode),
+           LinearScanDatabase(_INDEX_U, compact_mode=compact_mode)]
+    calls = [[], []]
+    for db, seen in zip(dbs, calls):
+        db.removal_listeners.append(seen.append)
+    for regular, rhs, sigma, bits, prem in ops:
+        seq = _index_sequent(regular, rhs, sigma, bits)
+        n = len(dbs[0].store)
+        premises = tuple(p % n for p in prem) if n else ()
+        new, old = (db.insert(seq, "seed", premises) for db in dbs)
+        assert (new.status, new.node, new.removed) == (old.status, old.node, old.removed)
+        assert calls[0] == calls[1]
+        assert dbs[0].entries == dbs[1].entries
+        assert dbs[0].dump(annotated=True) == dbs[1].dump(annotated=True)
+        assert dbs[0].find_goal() == dbs[1].find_goal()
+    assert (minimum_compact(dbs[0]).dump(annotated=True)
+            == linear_minimum_compact(dbs[1]).dump(annotated=True))
+
+
+def _database_trace(goal, min_height, compact):
+    out = fsearch(goal, min_height=min_height)
+    plain = fsearch(goal, min_height=min_height, backward_subsumption=False)
+    return [out.db.dump(annotated=True), out.store.dump(), compact(out.db).dump(),
+            plain.db.dump(annotated=True), plain.store.dump(), compact(plain.db).dump()]
+
+
+def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
+    goals = [(_chain(n), False) for n in range(4, 9)]
+    goals += [(nishimura(i), True) for i in range(1, 11)]
+    traces = [_database_trace(g, mh, minimum_compact) for g, mh in goals]
+    monkeypatch.setattr(search, "Database", LinearScanDatabase)
+    assert isinstance(fsearch(_chain(4)).db, LinearScanDatabase)
+    assert [_database_trace(g, mh, linear_minimum_compact) for g, mh in goals] == traces
