@@ -18,8 +18,7 @@ from .kripke import (KripkeModel, check_countermodel, forces, height,
 from .rules import (NotApplicable, Sequent, apply_and, apply_imp_in_irregular,
                     apply_imp_in_regular, apply_imp_notin, apply_join,
                     apply_or, axioms, subsumes, weight)
-from .search import (Database, DerivationStore, SearchOutcome, fsearch,
-                     is_saturated_against, minimum_compact)
+from .search import Database, DerivationStore, SearchOutcome, fsearch, minimum_compact
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "axioms", "bsearch", "build_universe", "check_countermodel", "check_g3i",
     "closure_member", "critical", "derivation_from_model", "evaluate",
     "extract_model", "forces", "fsearch", "height", "height_of",
-    "is_saturated_against", "minimum_compact", "monotone_forcing_audit",
+    "minimum_compact", "monotone_forcing_audit",
     "oracle_decide", "parse", "rank", "semantic_world_data", "size",
     "soundness_audit", "subsumes", "to_g3i", "to_text", "weight",
 ]

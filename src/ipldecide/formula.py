@@ -133,6 +133,12 @@ def size(f: Formula) -> int:
 #           "~" > "&" > "|" > "->" (right-assoc); parentheses allowed.
 # ---------------------------------------------------------------------------
 
+#: Deepest nesting of parentheses, negations and right-nested implications
+#: the parser accepts, which keeps its recursion well inside Python's
+#: default limit.
+MAX_NESTING = 100
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} at line {line}, column {col}")
@@ -189,6 +195,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.intern = interner
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -210,11 +217,21 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {val!r}", line, col)
         return f
 
+    def nested(self, parse_inner) -> Formula:
+        """``parse_inner()`` one nesting level deeper; too deep is a ParseError."""
+        if self.depth == MAX_NESTING:
+            _kind, _val, line, col = self.peek()
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", line, col)
+        self.depth += 1
+        f = parse_inner()
+        self.depth -= 1
+        return f
+
     def imp_expr(self) -> Formula:
         left = self.or_expr()
         if self.peek()[1] == "->":
             self.next()
-            return self.intern.imp(left, self.imp_expr())
+            return self.intern.imp(left, self.nested(self.imp_expr))
         return left
 
     def or_expr(self) -> Formula:
@@ -235,10 +252,10 @@ class _Parser:
         kind, val, line, col = self.peek()
         if val == "~":
             self.next()
-            return self.intern.neg(self.unary())
+            return self.intern.neg(self.nested(self.unary))
         if val == "(":
             self.next()
-            f = self.imp_expr()
+            f = self.nested(self.imp_expr)
             self.expect(")")
             return f
         if val == "#":
@@ -373,6 +390,11 @@ class GoalUniverse:
                 imp_t.setdefault(bp, []).append((i, ap))
         self.and_targets = {k: tuple(v) for k, v in and_t.items()}
         self.imp_targets = {k: tuple(v) for k, v in imp_t.items()}
+
+        # Implications by antecedent, for the join parts' support masks.
+        self.imps_by_ante: dict[int, int] = {}
+        for i, a in self.ante.items():
+            self.imps_by_ante[a] = self.imps_by_ante.get(a, 0) | 1 << i
 
         # Join admissibility: rhs values usable as premises of a join.
         ps3 = 0

@@ -9,7 +9,8 @@ subformulas; right sides are right subformulas.
 Each rule's conclusion is built by one mask-level kernel (:func:`axiom`,
 :func:`retarget`, :func:`or_conclusion`, :func:`shifted`, the two shift
 kernels and :class:`JoinParts`, plus :func:`covers` for the stable-coverage
-side condition).  The kernels check no side condition: the search and
+side condition, which :class:`JoinParts` states for a whole premise set).
+The kernels check no side condition: the search and
 :func:`~ipldecide.countermodel.derivation_from_model` call them where the
 conditions hold, and the ``apply_*`` functions validate a single instance,
 raising :class:`NotApplicable` with the violated condition named, before
@@ -158,41 +159,69 @@ def shifted(s: Sequent, lam: int, t: int) -> Sequent:
 
 
 class JoinParts:
-    """What a join keeps of its irregular premises: the joined stable atoms
-    and implications, the common losable atoms, and the common losable
-    implications whose antecedent is among the right sides ``ups``.  The join
-    applies only when ``supported``: every stable implication's antecedent
-    is among ``ups``."""
+    """What a join keeps of its irregular premises, as aggregate masks: the
+    right sides ``up_mask``, the union ``sig`` of the stable parts, the
+    intersection ``meet`` of the left sides, the common losable part
+    ``theta``, and ``cover``, the implications whose antecedent is among the
+    right sides.  A join keeps the stable part and the common losable atoms,
+    plus the common losable implications inside ``cover``; it applies only
+    when ``supported``, i.e. every stable implication lies inside ``cover``.
 
-    __slots__ = ("ups", "sig_at", "sig_imp", "th_at", "th_imp", "supported")
+    Built by folding the premises in one at a time, optionally onto a
+    ``base`` built the same way, so one more premise costs one fold.  Every
+    premise covers every other (:func:`covers`) exactly when ``sig`` lies
+    inside ``meet`` (:attr:`covered`), so one mask test tells whether a
+    sequent extends the premises (:meth:`admits`).
+    """
 
-    def __init__(self, seqs: list[Sequent]):
-        u = seqs[0].u
-        self.ups = ups = frozenset(s.rhs for s in seqs)
-        sig_at = sig_imp = 0
-        th_at = th_imp = u.full_mask
+    __slots__ = ("u", "up_mask", "sig", "meet", "theta", "cover")
+
+    def __init__(self, seqs: Iterable[Sequent], base: JoinParts | None = None):
+        if base is None:
+            seqs = list(seqs)
+            u = seqs[0].u
+            up_mask = sig = cover = 0
+            meet = theta = u.full_mask
+        else:
+            u = base.u
+            up_mask, sig, meet, theta, cover = (base.up_mask, base.sig, base.meet,
+                                                base.theta, base.cover)
+        by_ante = u.imps_by_ante
         for s in seqs:
-            sig_at |= s.sigma & u.var_mask
-            sig_imp |= s.sigma & u.imp_mask
-            th_at &= s.theta & u.var_mask
-            th_imp &= s.theta & u.imp_mask
-        self.sig_at = sig_at
-        self.sig_imp = sig_imp
-        self.th_at = th_at
-        self.th_imp = 0
-        for i in iter_bits(th_imp):
-            if u.ante[i] in ups:
-                self.th_imp |= 1 << i
-        self.supported = all(u.ante[i] in ups for i in iter_bits(sig_imp))
+            up_mask |= 1 << s.rhs
+            sig |= s.sigma
+            meet &= s.sigma | s.theta
+            theta &= s.theta
+            cover |= by_ante.get(s.rhs, 0)
+        self.u = u
+        self.up_mask = up_mask
+        self.sig = sig
+        self.meet = meet
+        self.theta = theta
+        self.cover = cover
+
+    @property
+    def supported(self) -> bool:
+        return not self.sig & self.u.imp_mask & ~self.cover
+
+    @property
+    def covered(self) -> bool:
+        return not self.sig & ~self.meet
+
+    def admits(self, s: Sequent) -> bool:
+        """``s`` has a new right side, holds every premise's stable part on
+        its left side, and its stable part lies inside every premise's."""
+        return not ((self.up_mask >> s.rhs) & 1 or self.sig & ~(s.sigma | s.theta)
+                    or s.sigma & ~self.meet)
 
     def at_gamma(self, t: int) -> int:
         """Left side of the join onto prime ``t``, which the joined stable
         atoms must not hold."""
-        return self.sig_at | (self.th_at & ~(1 << t)) | self.sig_imp | self.th_imp
+        return self.sig | (self.or_gamma() & ~(1 << t))
 
     def or_gamma(self) -> int:
         """Left side of the join onto a disjunction of two right sides."""
-        return self.sig_at | self.th_at | self.sig_imp | self.th_imp
+        return self.sig | self.theta & (self.u.var_mask | self.cover)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +393,14 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
     u = premises[0].u
     if any(p.regular for p in premises):
         raise NotApplicable("join premises must be irregular")
-    for p in premises:
-        for q in premises:
-            if not covers(p, q):
-                raise NotApplicable(
-                    f"stable parts not pairwise covered ({p.render()} vs {q.render()})")
     parts = JoinParts(premises)
-    ups = parts.ups
+    if not parts.covered:
+        p, q = next((p, q) for p in premises for q in premises if not covers(p, q))
+        raise NotApplicable(
+            f"stable parts not pairwise covered ({p.render()} vs {q.render()})")
+    ups = list(iter_bits(parts.up_mask))
     if not parts.supported:
-        i = next(i for i in iter_bits(parts.sig_imp) if u.ante[i] not in ups)
+        i = next(iter_bits(parts.sig & u.imp_mask & ~parts.cover))
         raise NotApplicable(f"stable implication {to_text(u.sf[i])} is unsupported")
     t = _target_pos(u, target)
     if flavor == "at":
@@ -382,7 +410,7 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
                     f"{to_text(u.sf[y])} is not an antecedent on the left of the goal")
         if not (u.prime_mask >> t) & 1:
             raise NotApplicable("target is not prime")
-        if (parts.sig_at >> t) & 1:
+        if (parts.sig >> t) & 1:
             raise NotApplicable("target occurs in the joined stable atoms")
         return Sequent(u, True, parts.at_gamma(t), 0, 0, t)
     if flavor == "or":

@@ -23,7 +23,13 @@ premise sets: pairwise coverage of the stable parts, pairwise distinct
 right sides, and every right side admissible as a join participant (it
 must occur as an antecedent on the left of the goal, or as a disjunct on
 the right).  Sets whose stable implications are not yet supported stay
-pending until a supporting premise arrives.
+pending until a supporting premise arrives.  Each set keeps the aggregate
+masks of ``rules.JoinParts`` (its right sides, the union of its stable
+parts, the intersection of its left sides, its common losable part and the
+implications its right sides support), so a new premise is tested against
+a whole set with one mask test, and the set it extends is built from that
+base set in constant time: the masks fold in the one new premise and the
+rank is the larger of the base's and the premise's rank plus one.
 
 The minimal-height strategy delays joins: conclusions of join rank above
 the current wave are held back, and the wave only increases once
@@ -307,23 +313,26 @@ def minimum_compact(db: Database) -> Database:
     return out
 
 
-def is_saturated_against(db: Database, oracle_db: Database) -> bool:
-    """Every entry of ``oracle_db`` is subsumed by some entry of ``db``."""
-    return all(db._subsumer(oracle_db.store.nodes[nid].seq) is not None
-               for nid in oracle_db.entries)
-
-
 class JoinCandidateSet(JoinParts):
     """Irregular premises that pairwise satisfy the stable-coverage side
-    condition, with distinct admissible right sides; caches the joined parts."""
+    condition, with distinct admissible right sides; caches the joined parts.
+
+    Built from its sorted ``members``, or, when ``base`` is given, by folding
+    the one member ``new`` onto the parts and rank of the set ``base``."""
 
     __slots__ = ("members", "ups_in_ps3", "needed_rank")
 
-    def __init__(self, u: GoalUniverse, store: DerivationStore, members: tuple[int, ...]):
-        super().__init__([store.nodes[m].seq for m in members])
+    def __init__(self, u: GoalUniverse, store: DerivationStore, members: tuple[int, ...],
+                 base: JoinCandidateSet | None = None, new: int = -1):
+        if base is None:
+            super().__init__([store.nodes[m].seq for m in members])
+            self.needed_rank = max(store.nodes[m].rank for m in members) + 1
+        else:
+            node = store.nodes[new]
+            super().__init__((node.seq,), base)
+            self.needed_rank = max(base.needed_rank, node.rank + 1)
         self.members = members
-        self.ups_in_ps3 = all((u.ps3_mask >> y) & 1 for y in self.ups)
-        self.needed_rank = max(store.nodes[m].rank for m in members) + 1
+        self.ups_in_ps3 = not self.up_mask & ~u.ps3_mask
 
 
 @dataclass
@@ -396,11 +405,12 @@ class SearchState:
 
     # -- join candidate maintenance ----------------------------------------
 
-    def _register_set(self, members: tuple[int, ...]) -> None:
+    def _register_set(self, members: tuple[int, ...],
+                      base: JoinCandidateSet | None = None, new: int = -1) -> None:
         key = frozenset(members)
         if key in self.sets:
             return
-        cs = JoinCandidateSet(self.u, self.store, members)
+        cs = JoinCandidateSet(self.u, self.store, members, base, new)
         self.sets[key] = cs
         for m in members:
             self.by_member.setdefault(m, set()).add(key)
@@ -410,16 +420,9 @@ class SearchState:
         seq = self.store.nodes[nid].seq
         if not (self.u.ps4_mask >> seq.rhs) & 1:
             return
-        nodes = self.store.nodes
-        extensions = []
-        for cs in self.sets.values():
-            if seq.rhs in cs.ups:
-                continue
-            if all(covers(nodes[m].seq, seq) and covers(seq, nodes[m].seq)
-                   for m in cs.members):
-                extensions.append(cs.members)
-        for members in extensions:
-            self._register_set(tuple(sorted(members + (nid,))))
+        extensions = [cs for cs in self.sets.values() if cs.admits(seq)]
+        for cs in extensions:
+            self._register_set(tuple(sorted(cs.members + (nid,))), cs, nid)
         self._register_set((nid,))
 
     def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
@@ -450,12 +453,13 @@ class SearchState:
         rank = cs.needed_rank
         if cs.ups_in_ps3:
             for f in u.prime_rhs:
-                if not (cs.sig_at >> f) & 1:
+                if not (cs.sig >> f) & 1:
                     self._insert(Sequent(u, True, cs.at_gamma(f), 0, 0, f), JOIN_AT,
                                  cs.members, rank)
         gamma_or = cs.or_gamma()
+        ups = cs.up_mask
         for t, c1, c2 in u.or_targets:
-            if c1 in cs.ups and c2 in cs.ups:
+            if (ups >> c1) & 1 and (ups >> c2) & 1:
                 self._insert(Sequent(u, True, gamma_or, 0, 0, t), JOIN_OR, cs.members, rank)
 
     def _drain_pending(self) -> None:

@@ -46,6 +46,22 @@ def test_decide_batch_with_bad_lines_decides_the_rest(tmp_path, capsys):
         "parse error: line 5: expected a formula, found 'end of input' at column 6"]
 
 
+def test_deep_nesting_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
+    # Parentheses, negations and right-nested implications each nested 600
+    # deep, every one followed by a valid line.
+    deep = ["(" * 600 + "p" + ")" * 600, "~" * 600 + "p", "p -> " * 600 + "p"]
+    src = tmp_path / "f.txt"
+    src.write_text("".join(line + "\np -> p\n" for line in deep))
+    for command in ("decide", "audit"):
+        code, out, err = run(capsys, command, str(src))
+        assert code == 2
+        assert err.splitlines() == [
+            f"parse error: line {n}: formula nested deeper than 100 levels at column {c}"
+            for n, c in ((1, 102), (3, 102), (5, 506))]
+        decided = [line for line in out.splitlines() if not line.startswith(" ")]
+        assert [line.split(None, 1)[1] for line in decided] == ["p -> p"] * 3
+
+
 def test_audit_batch_with_a_bad_line_audits_the_rest(tmp_path, capsys):
     src = tmp_path / "f.txt"
     src.write_text("p) \n" + "p -> p\n")

@@ -1,0 +1,96 @@
+"""Pinned digests of the search's whole output on a fixed corpus.
+
+A change that is meant to leave the output alone (a faster kernel, an index,
+a refactor) must keep these digests.  A change that alters output on purpose
+re-pins them and says why.  Each digest covers, per formula and in order:
+the verdict, ``db.dump(annotated=True)``, ``store.dump()``,
+``minimum_compact(db).dump(annotated=True)`` and, for a non-valid goal, the
+extracted countermodel's world count and height.  Regenerate with
+``PYTHONPATH=src python tests/test_fingerprints.py``.
+"""
+
+import hashlib
+
+import pytest
+
+from ipldecide.countermodel import extract_model
+from ipldecide.formula import parse
+from ipldecide.generate import nishimura, random_formulas
+from ipldecide.kripke import height
+from ipldecide.search import fsearch, minimum_compact
+
+RANDOM_CHUNK = 25
+
+
+def _chain(n):
+    atoms = [f"p{i}" for i in range(1, n + 1)]
+    links = " & ".join(f"({x} -> {y})" for x, y in zip(atoms, atoms[1:]))
+    return parse(f"{links} -> ({atoms[0]} -> {atoms[-1]})")
+
+
+def _groups():
+    """(label, goals, min_height): chains 4-8, ladders 1-12 under minimal
+    height, and the first 150 formulas of the benchmark's random-mixed
+    corpus (its first stratum: seed 2026, 3 variables, size at most 12) in
+    chunks of 25."""
+    groups = [(f"chain{n}", [_chain(n)], False) for n in range(4, 9)]
+    groups += [(f"ladder{i}", [nishimura(i)], True) for i in range(1, 13)]
+    corpus = random_formulas(2026, 3, 12, 150)
+    groups += [(f"random{k}-{k + RANDOM_CHUNK - 1}", corpus[k:k + RANDOM_CHUNK], False)
+               for k in range(0, len(corpus), RANDOM_CHUNK)]
+    return groups
+
+
+def _fingerprint(goal, min_height):
+    out = fsearch(goal, min_height=min_height)
+    parts = [out.status, out.db.dump(annotated=True), out.store.dump(),
+             minimum_compact(out.db).dump(annotated=True)]
+    if out.is_proof:
+        model = extract_model(out.store, out.root).model
+        parts += [len(model.worlds()), height(model)]
+    return "\x00".join(map(str, parts))
+
+
+def _digest(goals, min_height):
+    text = "\x01".join(_fingerprint(g, min_height) for g in goals)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+DIGESTS = {
+    "chain4": "831b9c89f3a37e9f5ced4628c7c08ff18bb76cd38b99994407a002e9ffe1e22f",
+    "chain5": "66bb74660d4f7e4251fc1d1e1a51733af0e046807d0cec9db0c842f0a2bf2e88",
+    "chain6": "da6e3d17983b9571dfe20bbf686a90d8ec2c710b850129ebc408d520f7ba5978",
+    "chain7": "1c319baef9e2e0ac9fbde55d645c5bdc535b68e306202a379fa0fa7cdde339a4",
+    "chain8": "54848768b2909b476c6065cbd5df7351aa8d7f6ea0bfb2cc453fe6aee512db2f",
+    "ladder1": "d87ab0fe609768ac78bc55a4ae6311e439eaedea2c0e10b7b5e1ad35b75a3669",
+    "ladder2": "d3d00d453f71c203b47374f7cad757fdbb515e0be054843757e3f177fb9922c3",
+    "ladder3": "96fb8998bedf8c99220616f063796d92cd0a000aba7d10623407d18223732038",
+    "ladder4": "0e48dcb5caa06f0ac74047d819c458282559aa78b4835de81b28739c6c21f6ba",
+    "ladder5": "a16109d05ee81a38607b6954c395ecc7a49ff5ccda4d236f426e2bc1b70364ce",
+    "ladder6": "5278625bc9768ce28afd5f28f00365cb6c67664f1a760643b804be99de656467",
+    "ladder7": "b8ed2b926778571e6e9516d6cef5fbfe5b5cf3cc52f75a3ce2d25a43a1627e34",
+    "ladder8": "c0dff1825cf767080ccc7df3327a2d8ea6a598ad80aae2ab7831d9fb49226baf",
+    "ladder9": "f9388733e24f384e8d0e97a2bde2f42c50be27e3846dd3a99be5bfe668dcdcf7",
+    "ladder10": "3cb1006c974b2662782de7a4c3b48fde9a9480fa197462e4e6635694028454a6",
+    "ladder11": "6cdc71d0903f1e22709346968cce51008b2dbd8afaa34dffa32ef80b85a02668",
+    "ladder12": "3ed64a07c838c2b8ad09147893d38db2630f665f8a7ad387a54dd7fce509382c",
+    "random0-24": "e2f8844de038d3127773f629b2947216ab77d7c15ba9becb1fc11f2cfaf7af37",
+    "random25-49": "30c83e1329f099101d60b7a24fc3b864a23637c4e291001a5177736877ab7e9d",
+    "random50-74": "29cc004838094d0dfc9d38c8ac115df623af5df63bdfe48d67d7edc1f90e5d2d",
+    "random75-99": "b9dba7a3f34ccf44434ac1b61c3f196a2e3fb7e43ef6c27b4a435fd7b01e4eac",
+    "random100-124": "a12bcca71f138edc726804af2603294317f7cfcbafaa80d31e4ed9064ba21fd2",
+    "random125-149": "b7418cf074396b75f9cecaf09ed2f1976e0e502102df17bd0b6517d95a3e0a74",
+}
+
+
+GROUPS = _groups()
+
+
+@pytest.mark.parametrize("label,goals,min_height", GROUPS, ids=[g[0] for g in GROUPS])
+def test_output_matches_the_pinned_digest(label, goals, min_height):
+    assert _digest(goals, min_height) == DIGESTS[label]
+
+
+if __name__ == "__main__":
+    for label, goals, min_height in GROUPS:
+        print(f'    "{label}": "{_digest(goals, min_height)}",')

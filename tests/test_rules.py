@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse
 from ipldecide.generate import nishimura, random_formulas
-from ipldecide.rules import (NotApplicable, Weight, apply_and,
+from ipldecide.rules import (JoinParts, NotApplicable, Weight, apply_and,
                              apply_imp_in_irregular, apply_imp_in_regular,
-                             apply_imp_notin, apply_join, apply_or, axioms,
+                             apply_imp_notin, apply_join, apply_or, axioms, covers,
                              maximal_avoiding, minimal_shifts, regular,
                              irregular, subsumes, weight)
 from ipldecide.search import fsearch
@@ -295,6 +295,98 @@ def test_apply_join_target_restrictions(scott_u):
     bot_axiom = sequent_of_line(u, SCOTT_LINES[1])
     with pytest.raises(NotApplicable, match="antecedent"):
         apply_join([bot_axiom], "at", parse("p"))
+
+
+def test_apply_join_names_the_first_uncovered_pair():
+    u = build_universe(parse("(a -> x) & (b -> y) & a & b -> x | y"))
+    pa = iseq(u, ["a"], ["b"], "x")
+    pb = iseq(u, ["b"], ["a"], "y")
+    pc = iseq(u, [], ["a"], "x")  # covers pa, but its left side misses b
+    assert JoinParts([pa, pb]).covered and not JoinParts([pa, pb, pc]).covered
+    with pytest.raises(NotApplicable) as err:
+        apply_join([pa, pb, pc], "or", parse("x | y"))
+    assert str(err.value) == ("stable parts not pairwise covered "
+                              f"({pb.render()} vs {pc.render()})")
+
+
+# -- join parts: aggregate masks against the premise list -------------------------
+
+class ReferenceJoinParts:
+    """``JoinParts`` before the aggregate masks: every field is computed from
+    the full premise list, and support by scanning the implications (the
+    reference)."""
+
+    def __init__(self, seqs):
+        u = seqs[0].u
+        self.ups = ups = frozenset(s.rhs for s in seqs)
+        sig_at = sig_imp = 0
+        th_at = th_imp = u.full_mask
+        for s in seqs:
+            sig_at |= s.sigma & u.var_mask
+            sig_imp |= s.sigma & u.imp_mask
+            th_at &= s.theta & u.var_mask
+            th_imp &= s.theta & u.imp_mask
+        self.sig_at = sig_at
+        self.sig_imp = sig_imp
+        self.th_at = th_at
+        self.th_imp = 0
+        for i in iter_bits(th_imp):
+            if u.ante[i] in ups:
+                self.th_imp |= 1 << i
+        self.supported = all(u.ante[i] in ups for i in iter_bits(sig_imp))
+
+    @property
+    def up_mask(self):
+        return sum(1 << y for y in self.ups)
+
+    @property
+    def sig(self):
+        return self.sig_at | self.sig_imp
+
+    def at_gamma(self, t):
+        return self.sig_at | (self.th_at & ~(1 << t)) | self.sig_imp | self.th_imp
+
+    def or_gamma(self):
+        return self.sig_at | self.th_at | self.sig_imp | self.th_imp
+
+
+def _join_fields(parts, u):
+    """Everything the joins read of their parts."""
+    return (parts.up_mask, parts.sig, parts.supported,
+            [parts.at_gamma(t) for t in u.prime_rhs], parts.or_gamma())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 5), st.randoms(use_true_random=False))
+def test_folded_join_parts_match_the_premise_list(seed, nvars, rng):
+    # Right sides come from a few admissible ones, so that repeats are
+    # common; sparse stable parts make coverage hold often enough.
+    u = build_universe(max(random_formulas(seed, nvars, 40, 4), key=lambda f: f.size))
+    slice_ = list(iter_bits(u.gbar))
+    rights = rng.sample(sorted(iter_bits(u.ps4_mask & u.sfr)) or [u.goal_pos], k=1)
+    rights += rng.sample(sorted(iter_bits(u.sfr)), k=min(2, u.sfr.bit_count()))
+    density = rng.choice([0.0, 0.1, 0.3])
+
+    def premise():
+        theta = sum(1 << i for i in slice_ if rng.random() < 0.7)
+        sigma = sum(1 << i for i in slice_ if rng.random() < density) & ~theta
+        return irregular(u, sigma, theta, rng.choice(rights))
+
+    seqs = [premise() for _ in range(rng.randint(2, 5))]
+    whole = JoinParts(seqs)
+    assert _join_fields(whole, u) == _join_fields(ReferenceJoinParts(seqs), u)
+    assert whole.covered == all(covers(p, q) for p in seqs for q in seqs)
+    aggregates = ("up_mask", "sig", "meet", "theta", "cover")
+    for i, extra in enumerate(seqs):
+        rest = seqs[:i] + seqs[i + 1:]
+        base = JoinParts(rest)
+        folded = JoinParts([extra], base)
+        assert _join_fields(folded, u) == _join_fields(whole, u)
+        assert ([getattr(folded, name) for name in aggregates]
+                == [getattr(whole, name) for name in aggregates])
+        assert base.admits(extra) == (
+            extra.rhs not in {s.rhs for s in rest}
+            and all(covers(m, extra) and covers(extra, m) for m in rest))
 
 
 # -- subsumption ----------------------------------------------------------------

@@ -9,11 +9,10 @@ from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse
 from ipldecide.generate import nishimura
 from ipldecide.kripke import height
-from ipldecide.rules import Sequent, subsumes
+from ipldecide.rules import JoinParts, Sequent, covers, subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
                               IterationBudgetExceeded, SearchOutcome,
-                              SearchState, fsearch, is_saturated_against,
-                              minimum_compact)
+                              SearchState, fsearch, minimum_compact)
 
 from conftest import (E_IRREGULAR_LINES, SCOTT, SCOTT_LINES, VALID_E, iseq,
                       rseq, sequent_of_line)
@@ -129,6 +128,12 @@ def test_step_with_no_new_premises_is_empty(scott_u):
 
 
 # -- compaction and saturation ----------------------------------------------------
+
+def is_saturated_against(db, oracle_db):
+    """Every entry of ``oracle_db`` is subsumed by some entry of ``db``."""
+    return all(db._subsumer(oracle_db.store.nodes[nid].seq) is not None
+               for nid in oracle_db.entries)
+
 
 def test_minimum_compact_is_idempotent_and_minimal(valid_e_u):
     out = fsearch(valid_e_u, backward_subsumption=False)
@@ -397,3 +402,66 @@ def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
     monkeypatch.setattr(search, "Database", LinearScanDatabase)
     assert isinstance(fsearch(_chain(4)).db, LinearScanDatabase)
     assert [_database_trace(g, mh, linear_minimum_compact) for g, mh in goals] == traces
+
+
+# -- join candidate sets against the member scan ----------------------------------
+
+class FromScratchJoinCandidateSet(JoinParts):
+    """``JoinCandidateSet`` before extensions from a base set: parts and rank
+    always come from the full member list (the reference)."""
+
+    __slots__ = ("members", "ups_in_ps3", "needed_rank")
+
+    def __init__(self, u, store, members, base=None, new=-1):
+        super().__init__([store.nodes[m].seq for m in members])
+        self.members = members
+        self.ups_in_ps3 = all((u.ps3_mask >> store.nodes[m].seq.rhs) & 1 for m in members)
+        self.needed_rank = max(store.nodes[m].rank for m in members) + 1
+
+
+def scan_add_candidate_member(self, nid):
+    """``SearchState._add_candidate_member`` before the one-mask test: each
+    member of each set is checked with ``covers`` (the reference)."""
+    seq = self.store.nodes[nid].seq
+    if not (self.u.ps4_mask >> seq.rhs) & 1:
+        return
+    nodes = self.store.nodes
+    extensions = []
+    for cs in self.sets.values():
+        if seq.rhs in {nodes[m].seq.rhs for m in cs.members}:
+            continue
+        if all(covers(nodes[m].seq, seq) and covers(seq, nodes[m].seq)
+               for m in cs.members):
+            extensions.append(cs.members)
+    for members in extensions:
+        self._register_set(tuple(sorted(members + (nid,))))
+    self._register_set((nid,))
+
+
+def _candidate_trace(goal, min_height):
+    """The candidate sets, their parts and both dumps after the axioms, each
+    step and each minimal-height wave."""
+    state = SearchState(build_universe(goal), min_height=min_height)
+    snapshots = []
+    flush = state._flush_stats
+
+    def snapshot():
+        flush()
+        sets = [(key, cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
+                 cs.ups_in_ps3, cs.needed_rank) for key, cs in state.sets.items()]
+        snapshots.append((sets, state.db.dump(annotated=True), state.store.dump()))
+
+    state._flush_stats = snapshot
+    state.run()
+    return snapshots
+
+
+def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
+    goals = [(_chain(n), False) for n in range(4, 9)]
+    goals += [(nishimura(i), True) for i in range(1, 13)]
+    traces = [_candidate_trace(g, mh) for g, mh in goals]
+    assert max(len(cs[1]) for trace in traces for sets, *_ in trace for cs in sets) >= 3
+    monkeypatch.setattr(SearchState, "_add_candidate_member", scan_add_candidate_member)
+    monkeypatch.setattr(search, "JoinCandidateSet", FromScratchJoinCandidateSet)
+    for (goal, min_height), trace in zip(goals, traces):
+        assert _candidate_trace(goal, min_height) == trace, goal
