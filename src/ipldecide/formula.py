@@ -46,7 +46,7 @@ def minimal_masks(masks: Iterable[int]) -> list[int]:
 class Formula:
     """One interned formula node.  Never construct directly; use an Interner."""
 
-    __slots__ = ("kind", "name", "left", "right", "id", "size")
+    __slots__ = ("kind", "name", "left", "right", "id", "size", "height")
 
     def __init__(self, kind: int, name: str | None, left: "Formula | None",
                  right: "Formula | None", fid: int):
@@ -57,8 +57,10 @@ class Formula:
         self.id = fid
         if kind in (VAR, BOT):
             self.size = 1
+            self.height = 0
         else:
             self.size = left.size + right.size + 1  # type: ignore[union-attr]
+            self.height = max(left.height, right.height) + 1  # type: ignore[union-attr]
 
     def __repr__(self) -> str:
         return f"Formula({to_text(self)})"
@@ -134,8 +136,10 @@ def size(f: Formula) -> int:
 # ---------------------------------------------------------------------------
 
 #: Deepest nesting of parentheses, negations and right-nested implications
-#: the parser accepts, which keeps its recursion well inside Python's
-#: default limit.
+#: the parser accepts, and the greatest height of a conjunction or
+#: disjunction it builds (a left-deep chain of n operands has height n - 1).
+#: Together they keep the parser and every recursive pass over a parsed
+#: formula well inside Python's default recursion limit.
 MAX_NESTING = 100
 
 
@@ -234,19 +238,22 @@ class _Parser:
             return self.intern.imp(left, self.nested(self.imp_expr))
         return left
 
-    def or_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.peek()[1] == "|":
-            self.next()
-            f = self.intern.disj(f, self.and_expr())
+    def chain(self, op: str, build, parse_operand) -> Formula:
+        """A left-deep chain of ``op``; one higher than MAX_NESTING is a
+        ParseError at the operator that makes it so."""
+        f = parse_operand()
+        while self.peek()[1] == op:
+            _kind, _val, line, col = self.next()
+            f = build(f, parse_operand())
+            if f.height > MAX_NESTING:
+                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", line, col)
         return f
 
+    def or_expr(self) -> Formula:
+        return self.chain("|", self.intern.disj, self.and_expr)
+
     def and_expr(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            f = self.intern.conj(f, self.unary())
-        return f
+        return self.chain("&", self.intern.conj, self.unary)
 
     def unary(self) -> Formula:
         kind, val, line, col = self.peek()

@@ -2,11 +2,16 @@
 
 The loop inserts the axioms, then repeatedly applies every rule instance
 with at least one premise proved in the last iteration, discarding
-conclusions subsumed by the database (forward subsumption).  With backward
-subsumption on, inserting a strictly stronger sequent retires the weaker
-entries and, transitively, every entry whose stored derivation used one;
-retired store nodes are tombstoned, never deleted, so earlier proofs stay
-replayable.
+conclusions subsumed by the database (forward subsumption).  It stops as
+soon as a regular sequent with the goal on the right is stored: that
+derivation refutes the goal, so only a valid goal saturates the database.
+The stop is checked after each premise's rule instances and after each
+join set fires, so the rest of the iteration is never applied.
+
+With backward subsumption on, inserting a strictly stronger sequent
+retires the weaker entries and, transitively, every entry whose stored
+derivation used one; retired store nodes are tombstoned, never deleted, so
+earlier proofs stay replayable.
 
 Both subsumption checks go through an index built from the definition of
 ``rules.subsumes``: a regular sequent can only be subsumed by a regular one
@@ -29,7 +34,10 @@ parts, the intersection of its left sides, its common losable part and the
 implications its right sides support), so a new premise is tested against
 a whole set with one mask test, and the set it extends is built from that
 base set in constant time: the masks fold in the one new premise and the
-rank is the larger of the base's and the premise's rank plus one.
+rank is the larger of the base's and the premise's rank plus one.  The
+sets of each new premise fire before the next premise is added, in the
+order they were registered, so sets that would only be built after the
+goal is found never are.
 
 The minimal-height strategy delays joins: conclusions of join rank above
 the current wave are held back, and the wave only increases once
@@ -208,10 +216,6 @@ class Database:
     def irregular_entries(self) -> list[int]:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
 
-    def find_goal(self) -> Optional[int]:
-        grades = self._index.get((True, self.u.goal_pos), {})
-        return min((min(g.values()) for g in grades.values() if g), default=None)
-
     def _link(self, nid: int, seq: Sequent) -> tuple[dict[int, dict[int, int]], int, int]:
         """Make ``nid`` (holding ``seq``) live; returns its index bucket,
         its mask and the mask's size."""
@@ -338,7 +342,9 @@ class JoinCandidateSet(JoinParts):
 @dataclass
 class SearchOutcome:
     """Either a proof of the goal (a regular goal sequent in the store) or
-    the saturated database."""
+    the saturated database.  ``root`` is the first stored goal sequent and
+    ``iterations`` counts the iterations up to the stop there, the one that
+    stored it included."""
     status: str                      # "proof" | "saturated"
     db: Database
     universe: GoalUniverse
@@ -373,6 +379,7 @@ class SearchState:
         self.collect_stats = collect_stats
         self.stats: list[dict] = []
         self.iteration = 0
+        self._goal: Optional[int] = None  # the first stored goal sequent
         self.last: list[int] = []
         self._added_now: list[int] = []
         self._counters = {"generated": 0, "forward_subsumed": 0, "backward_removed": 0}
@@ -394,6 +401,10 @@ class SearchState:
             return
         self._counters["backward_removed"] += len(res.removed)
         self._added_now.append(res.node)
+        if seq.regular and seq.rhs == self.u.goal_pos:
+            # The first: one premise's rules or one set's joins store at
+            # most one goal sequent, and the search stops after them.
+            self._goal = res.node
 
     def insert_axioms(self) -> list[int]:
         self._added_now = []
@@ -469,20 +480,26 @@ class SearchState:
             if self.rng is not None:
                 self.rng.shuffle(batch)
             for key in batch:
+                if self._goal is not None:
+                    return
                 self._fire_set(key)
 
     # -- one iteration -------------------------------------------------------
 
     def step(self) -> list[int]:
         """Apply every instance with a premise from the last iteration, then
-        update the join candidates and fire the new sets; returns the ids of
-        the conclusions that survived subsumption."""
+        add each new irregular premise to the join candidates and fire the
+        sets it completes before the next one is added; returns the ids of
+        the conclusions that survived subsumption.  Stops at the first
+        stored goal sequent."""
         self.iteration += 1
         self._added_now = []
         order = list(self.last)
         if self.rng is not None:
             self.rng.shuffle(order)
         for sid in order:
+            if self._goal is not None:
+                break
             if sid not in self.db.entries:
                 continue  # retired mid-flight by backward subsumption
             node = self.store.nodes[sid]
@@ -491,9 +508,11 @@ class SearchState:
             else:
                 self._irregular_step(sid, node)
         for sid in order:
+            if self._goal is not None:
+                break
             if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
                 self._add_candidate_member(sid)
-        self._drain_pending()
+                self._drain_pending()
         self.last = self._added_now
         self._flush_stats()
         return self.last
@@ -551,11 +570,7 @@ class SearchState:
 
     def run(self, max_iterations: int | None = None) -> SearchOutcome:
         self.insert_axioms()
-        while True:
-            goal = self.db.find_goal()
-            if goal is not None:
-                return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
-                                     iterations=self.iteration, stats=self.stats)
+        while self._goal is None:
             if not self.last:
                 if self.min_height and self.blocked:
                     self.cap += 1
@@ -572,6 +587,8 @@ class SearchState:
                 raise IterationBudgetExceeded(
                     f"no fixpoint within {max_iterations} iterations")
             self.step()
+        return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=self._goal,
+                             iterations=self.iteration, stats=self.stats)
 
 
 def fsearch(goal: Formula | GoalUniverse, *, backward_subsumption: bool = True,

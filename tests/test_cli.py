@@ -62,6 +62,49 @@ def test_deep_nesting_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
         assert [line.split(None, 1)[1] for line in decided] == ["p -> p"] * 3
 
 
+def test_long_chains_are_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
+    # 3,000-operand conjunction and disjunction chains, each followed by a
+    # valid line; the 101st operator makes the chain 101 high.
+    src = tmp_path / "f.txt"
+    src.write_text("".join(f"{op.join(['p'] * 3000)}\np -> p\n" for op in (" & ", " | ")))
+    for command in ("decide", "audit"):
+        code, out, err = run(capsys, command, str(src))
+        assert code == 2
+        assert err.splitlines() == [
+            f"parse error: line {n}: formula nested deeper than 100 levels at column 403"
+            for n in (1, 3)]
+        decided = [line for line in out.splitlines() if not line.startswith(" ")]
+        assert [line.split(None, 1)[1] for line in decided] == ["p -> p"] * 2
+
+
+def test_internal_error_is_reported_and_the_batch_goes_on(tmp_path, capsys, monkeypatch):
+    from ipldecide import backward
+    check_g3i = backward.check_g3i
+    calls = []
+
+    def failing_once(tree, u):
+        calls.append(u)
+        return "the root" if len(calls) == 1 else check_g3i(tree, u)
+
+    monkeypatch.setattr(backward, "check_g3i", failing_once)
+    src = tmp_path / "f.txt"
+    src.write_text("p -> p\n" + VALID_E + "\n")
+    code, out, err = run(capsys, "decide", str(src))
+    assert code == 3
+    assert [line.split()[0] for line in out.splitlines()] == ["error", "valid"]
+    assert err == "internal error: certificate failed at the root\n"
+
+
+def test_audit_checks_order_independence_only_on_saturated_databases(tmp_path, capsys):
+    # The search for a non-valid goal stops at its first goal sequent, so its
+    # database depends on the application order; a valid goal's does not.
+    src = tmp_path / "f.txt"
+    src.write_text("(~(p3 | p4) | p3) & ~(p2 -> p4)\n" + VALID_E + "\n")
+    code, out, _ = run(capsys, "audit", str(src))
+    assert code == 0 and "FAIL" not in out
+    assert out.count("compact database independent of application order") == 1
+
+
 def test_audit_batch_with_a_bad_line_audits_the_rest(tmp_path, capsys):
     src = tmp_path / "f.txt"
     src.write_text("p) \n" + "p -> p\n")

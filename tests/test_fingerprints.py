@@ -63,7 +63,7 @@ DIGESTS = {
     "chain7": "1c319baef9e2e0ac9fbde55d645c5bdc535b68e306202a379fa0fa7cdde339a4",
     "chain8": "54848768b2909b476c6065cbd5df7351aa8d7f6ea0bfb2cc453fe6aee512db2f",
     "ladder1": "d87ab0fe609768ac78bc55a4ae6311e439eaedea2c0e10b7b5e1ad35b75a3669",
-    "ladder2": "d3d00d453f71c203b47374f7cad757fdbb515e0be054843757e3f177fb9922c3",
+    "ladder2": "f46d75e3282b1b25e35d1c5bfc33b87d23cb9d28b56dba2bea2d47aeeeda57f0",
     "ladder3": "96fb8998bedf8c99220616f063796d92cd0a000aba7d10623407d18223732038",
     "ladder4": "0e48dcb5caa06f0ac74047d819c458282559aa78b4835de81b28739c6c21f6ba",
     "ladder5": "a16109d05ee81a38607b6954c395ecc7a49ff5ccda4d236f426e2bc1b70364ce",
@@ -74,12 +74,12 @@ DIGESTS = {
     "ladder10": "3cb1006c974b2662782de7a4c3b48fde9a9480fa197462e4e6635694028454a6",
     "ladder11": "6cdc71d0903f1e22709346968cce51008b2dbd8afaa34dffa32ef80b85a02668",
     "ladder12": "3ed64a07c838c2b8ad09147893d38db2630f665f8a7ad387a54dd7fce509382c",
-    "random0-24": "e2f8844de038d3127773f629b2947216ab77d7c15ba9becb1fc11f2cfaf7af37",
-    "random25-49": "30c83e1329f099101d60b7a24fc3b864a23637c4e291001a5177736877ab7e9d",
-    "random50-74": "29cc004838094d0dfc9d38c8ac115df623af5df63bdfe48d67d7edc1f90e5d2d",
-    "random75-99": "b9dba7a3f34ccf44434ac1b61c3f196a2e3fb7e43ef6c27b4a435fd7b01e4eac",
-    "random100-124": "a12bcca71f138edc726804af2603294317f7cfcbafaa80d31e4ed9064ba21fd2",
-    "random125-149": "b7418cf074396b75f9cecaf09ed2f1976e0e502102df17bd0b6517d95a3e0a74",
+    "random0-24": "7e67b187887afc7c5f27be6ca57e97332c6dec98f7ece419ef93b1af2df57b8b",
+    "random25-49": "1f70b2ba8af390a78e7a1f98949161365d1ba07ca0d834779623c2cb6be3f3d4",
+    "random50-74": "b6cd3a8aeb4b7c3bb0df75fb54eb6c71f579ec02a68f058b2ce4e014a758f118",
+    "random75-99": "f9fdc918ab7decb500344757f7fd7745ccb73b46a246f3cfe419de7f652b740b",
+    "random100-124": "a5e6263a5ccab3ce349e6ea2d1a4c5b9a6cd6355ccd52e99ab87a5e9bea93bd6",
+    "random125-149": "30df8128d614812f34fa65a2202db237dc2eca751f0a66fe1d6acb83a10fefa4",
 }
 
 

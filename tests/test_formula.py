@@ -61,6 +61,20 @@ def test_parse_errors_carry_position():
     assert err2.value.line == 2
 
 
+def test_chains_are_capped_by_height_not_by_length():
+    # A chain of 101 operands is 100 high and parses; the next operator
+    # makes it too high.  Chains stacked in parentheses add up, so two
+    # 60-operand chains, one the first operand of the other, are too high.
+    assert parse(" & ".join(["p"] * 101)).height == F.MAX_NESTING
+    with pytest.raises(ParseError) as err:
+        parse(" | ".join(["p"] * 102))
+    assert err.value.col == 4 * 101 - 1
+    inner = "(" + " & ".join(["p"] * 60) + ")"
+    with pytest.raises(ParseError):
+        parse(" & ".join([inner] + ["q"] * 59))
+    assert parse(" & ".join([inner] + ["q"] * 40)).height == 99
+
+
 def test_hash_consing_gives_equal_ids():
     a = parse("p & (q -> r)")
     b = F.conj(F.var("p"), F.imp(F.var("q"), F.var("r")))

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from ipldecide import countermodel, search
 from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse
-from ipldecide.generate import nishimura
+from ipldecide.generate import nishimura, random_formulas
 from ipldecide.kripke import height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
-                              IterationBudgetExceeded, SearchOutcome,
-                              SearchState, fsearch, minimum_compact)
+                              IterationBudgetExceeded, JoinCandidateSet,
+                              SearchOutcome, SearchState, fsearch, minimum_compact)
 
 from conftest import (E_IRREGULAR_LINES, SCOTT, SCOTT_LINES, VALID_E, iseq,
                       rseq, sequent_of_line)
@@ -383,7 +383,6 @@ def test_subsumption_index_matches_the_linear_scan(compact_mode, ops):
         assert calls[0] == calls[1]
         assert dbs[0].entries == dbs[1].entries
         assert dbs[0].dump(annotated=True) == dbs[1].dump(annotated=True)
-        assert dbs[0].find_goal() == dbs[1].find_goal()
     assert (minimum_compact(dbs[0]).dump(annotated=True)
             == linear_minimum_compact(dbs[1]).dump(annotated=True))
 
@@ -465,3 +464,111 @@ def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
     monkeypatch.setattr(search, "JoinCandidateSet", FromScratchJoinCandidateSet)
     for (goal, min_height), trace in zip(goals, traces):
         assert _candidate_trace(goal, min_height) == trace, goal
+
+
+# -- the stop at the first goal sequent against the iteration-granular loop -------
+
+def iteration_drain_pending(self):
+    """``SearchState._drain_pending`` before the stop: fires every pending
+    set (the reference)."""
+    while self.pending:
+        batch = list(self.pending)
+        self.pending.clear()
+        if self.rng is not None:
+            self.rng.shuffle(batch)
+        for key in batch:
+            self._fire_set(key)
+
+
+def iteration_step(self):
+    """``SearchState.step`` before the stop: every rule instance of the
+    iteration is applied and every new member registered before any new set
+    fires (the reference)."""
+    self.iteration += 1
+    self._added_now = []
+    order = list(self.last)
+    if self.rng is not None:
+        self.rng.shuffle(order)
+    for sid in order:
+        if sid not in self.db.entries:
+            continue
+        node = self.store.nodes[sid]
+        if node.seq.regular:
+            self._regular_step(sid, node)
+        else:
+            self._irregular_step(sid, node)
+    for sid in order:
+        if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
+            self._add_candidate_member(sid)
+    self._drain_pending()
+    self.last = self._added_now
+    self._flush_stats()
+    return self.last
+
+
+def iteration_run(self, max_iterations=None):
+    """``SearchState.run`` before the stop: the database is searched for a
+    goal sequent only between iterations (the reference)."""
+    self.insert_axioms()
+    while True:
+        goal = LinearScanDatabase.find_goal(self.db)
+        if goal is not None:
+            return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
+                                 iterations=self.iteration, stats=self.stats)
+        if not self.last:
+            if self.min_height and self.blocked:
+                self.cap += 1
+                self.pending.extend(self.blocked)
+                self.blocked = []
+                self._added_now = []
+                self._drain_pending()
+                self.last = self._added_now
+                self._flush_stats()
+                continue
+            return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
+                                 iterations=self.iteration, stats=self.stats)
+        if max_iterations is not None and self.iteration >= max_iterations:
+            raise IterationBudgetExceeded(f"no fixpoint within {max_iterations} iterations")
+        self.step()
+
+
+def _stop_trace(goal, min_height, backward_subsumption, built):
+    """Status, store nodes, root, goal position, the dumps of a saturated
+    run, and the number of candidate sets built (``built`` counts them)."""
+    before = len(built)
+    out = fsearch(goal, min_height=min_height, backward_subsumption=backward_subsumption)
+    nodes = [(n.seq.key, n.rule, n.premises, n.rank) for n in out.store.nodes]
+    dumps = None if out.is_proof else (out.db.dump(annotated=True), out.store.dump())
+    return out.status, nodes, out.root, out.universe.goal_pos, dumps, len(built) - before
+
+
+def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
+    # Each store is the reference's store or a prefix of it, the root is the
+    # reference's first stored goal sequent, a valid goal's output is
+    # unchanged, and no run builds more candidate sets than the reference:
+    # a goal found by a join leaves the later members' sets unbuilt.
+    built = []
+    monkeypatch.setattr(search, "JoinCandidateSet",
+                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    goals = [(_chain(n), False) for n in range(4, 9)]
+    goals += [(nishimura(i), True) for i in range(1, 13)]
+    goals += [(g, False) for g in random_formulas(2026, 3, 12, 150)]
+    runs = [(g, mh, bw, built) for g, mh in goals for bw in (True, False)]
+    traces = [_stop_trace(*run) for run in runs]
+    monkeypatch.setattr(SearchState, "_drain_pending", iteration_drain_pending)
+    monkeypatch.setattr(SearchState, "step", iteration_step)
+    monkeypatch.setattr(SearchState, "run", iteration_run)
+    cut = fewer_sets = 0
+    for run, (status, nodes, root, goal_pos, dumps, sets) in zip(runs, traces):
+        ref_status, ref_nodes, _ref_root, _goal_pos, ref_dumps, ref_sets = _stop_trace(*run)
+        assert status == ref_status, run
+        assert nodes == ref_nodes[:len(nodes)], run
+        assert sets <= ref_sets, run
+        if status == SearchOutcome.PROOF:
+            assert root == min(i for i, (key, *_rest) in enumerate(ref_nodes)
+                               if key[0] and key[4] == goal_pos), run
+            cut += len(nodes) < len(ref_nodes)
+            fewer_sets += nodes[root][1] in search.JOIN_RULES and sets < ref_sets
+        else:
+            assert (dumps, sets) == (ref_dumps, ref_sets), run
+    assert cut > 0 and fewer_sets > 0
