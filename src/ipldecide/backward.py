@@ -125,9 +125,6 @@ class BNode:
     children: tuple["BNode", ...] = ()
     principal: Optional[int] = None  # position of the principal left formula
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
-
     def edges(self) -> Iterable[tuple["BNode", "BNode"]]:
         for c in self.children:
             yield (self, c)
@@ -562,13 +559,6 @@ def _check_g3i(node: G3Node, u: GoalUniverse, path: tuple[int, ...],
 # ---------------------------------------------------------------------------
 # Derivation exports
 # ---------------------------------------------------------------------------
-
-def tree_text(node: BNode, indent: int = 0) -> str:
-    lines = [f"{'  ' * indent}{node.seq.render()}   [{node.rule}]"]
-    for c in node.children:
-        lines.append(tree_text(c, indent + 1))
-    return "\n".join(lines)
-
 
 def g3i_text(node: G3Node, u: GoalUniverse, indent: int = 0) -> str:
     line = f"{'  ' * indent}{u.render_mask(node.psi)} |- {to_text(u.sf[node.rhs])}   [{node.rule}]"

@@ -2,11 +2,11 @@
 
 Exit codes of ``decide``: 0 every input formula is valid, 1 some formula is
 not (its countermodel is emitted), 2 some line did not parse or the input
-could not be read, 3 internal invariant failure.  A line that does not
-parse is reported on stderr and the other lines are still decided.  Every
-certificate is re-verified before it is printed; an unverifiable
-certificate is a bug, reported on stderr and as ``error`` for its line,
-and the other lines are still decided before the batch exits 3.
+could not be read as UTF-8 text, 3 internal invariant failure.  A line
+that does not parse is reported on stderr and the other lines are still
+decided.  Every certificate is re-verified before it is printed; an
+unverifiable certificate is a bug, reported on stderr and as ``error`` for
+its line, and the other lines are still decided before the batch exits 3.
 """
 
 from __future__ import annotations
@@ -23,14 +23,19 @@ from .search import fsearch, minimum_compact
 EXIT_VALID, EXIT_NONVALID, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _read_formulas(source: str) -> tuple[list[Formula], bool]:
+def _read_formulas(source: str) -> tuple[list[Formula], bool] | None:
     """Parse every non-blank line of ``source``; report each line that does
-    not parse on stderr and say whether any did not."""
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+    not parse on stderr and say whether any did not.  None, reported on
+    stderr, if ``source`` cannot be read as UTF-8 text."""
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read input: {exc}", file=sys.stderr)
+        return None
     goals, failed = [], False
     for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -45,10 +50,12 @@ def _read_formulas(source: str) -> tuple[list[Formula], bool]:
 
 
 def _write(path: str | None, content: str) -> None:
+    """Print ``content`` on stdout or append it to the file ``path``, which
+    ``cmd_decide`` truncates once per run."""
     if path is None or path == "-":
         print(content)
     else:
-        with open(path, "w") as fh:
+        with open(path, "a") as fh:
             fh.write(content + "\n")
 
 
@@ -113,11 +120,12 @@ def _decide_one(goal: Formula, args) -> tuple[int, dict]:
 
 
 def cmd_decide(args) -> int:
-    try:
-        goals, parse_failed = _read_formulas(args.input)
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    read = _read_formulas(args.input)
+    if read is None:
         return EXIT_PARSE
+    goals, parse_failed = read
+    for path in {args.countermodel, args.derivation, args.db_dump} - {None, "-"}:
+        open(path, "w").close()
     worst = EXIT_PARSE if parse_failed else EXIT_VALID
     for goal in goals:
         code, report = _decide_one(goal, args)
@@ -185,11 +193,10 @@ def _audit_one(goal: Formula) -> list[tuple[str, bool]]:
 
 
 def cmd_audit(args) -> int:
-    try:
-        goals, parse_failed = _read_formulas(args.input)
-    except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+    read = _read_formulas(args.input)
+    if read is None:
         return EXIT_PARSE
+    goals, parse_failed = read
     failed = 0
     for goal in goals:
         print(f"audit {to_text(goal)}")
@@ -199,6 +206,13 @@ def cmd_audit(args) -> int:
     if failed:
         return EXIT_INTERNAL
     return EXIT_PARSE if parse_failed else EXIT_VALID
+
+
+def _ladder_index(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate formula families")
     gs = g.add_subparsers(dest="family", required=True)
     gn = gs.add_parser("nishimura")
-    gn.add_argument("index", type=int)
+    gn.add_argument("index", type=_ladder_index)
     gr = gs.add_parser("random")
     gr.add_argument("--vars", type=int, default=3)
     gr.add_argument("--size", type=int, default=12)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import (AND, IMP, OR, VAR, Formula, FormulaSet, GoalUniverse,
-                      build_universe, iter_bits)
+from .formula import (AND, IMP, OR, VAR, Formula, GoalUniverse, build_universe,
+                      iter_bits)
 from .kripke import KripkeModel, forces, height_of, model_problems
 from .rules import (JoinParts, Sequent, axiom, maximal_avoiding, minimal_shifts,
                     or_conclusion, retarget, shifted)
@@ -139,15 +139,6 @@ def soundness_audit(store: DerivationStore, root: int) -> bool:
     return find_soundness_violation(store, root) is None
 
 
-@dataclass
-class SemWorldData:
-    """Per-world semantic slices of the goal's subformulas."""
-    forced_left: FormulaSet        # left subformulas forced at the world
-    stably_forced_left: FormulaSet  # of those: atoms, and implications whose
-    # antecedent the world refutes
-    refuted_right: FormulaSet      # right subformulas the world refutes
-
-
 def _world_masks(model: KripkeModel, u: GoalUniverse, world: int,
                  cache: dict | None = None) -> tuple[int, int, int]:
     cache = cache if cache is not None else {}
@@ -163,15 +154,6 @@ def _world_masks(model: KripkeModel, u: GoalUniverse, world: int,
         if not forces(model, world, u.sf[i], cache):
             omega |= 1 << i
     return lam, lam_star, omega
-
-
-def semantic_world_data(model: KripkeModel, universe: GoalUniverse | Formula,
-                        world: int) -> SemWorldData:
-    u = universe if isinstance(universe, GoalUniverse) else build_universe(universe)
-    model.check_world(world)
-    lam, lam_star, omega = _world_masks(model, u, world)
-    return SemWorldData(FormulaSet(u, lam), FormulaSet(u, lam_star),
-                        FormulaSet(u, omega))
 
 
 class _ModelToDerivation:

@@ -10,7 +10,8 @@ formula: its subformulas in a deterministic bottom-up order, the left/right
 subformula masks, the atom and implication slices of the left subformulas,
 and a cached closure operator with its minimal generators.  All sets of
 subformulas are bit vectors (plain ints) indexed by position in that order,
-wrapped by :class:`FormulaSet` at API boundaries.
+at API boundaries too: :func:`iter_bits` lists the positions of a set and
+:meth:`GoalUniverse.render_mask` prints it.
 """
 
 from __future__ import annotations
@@ -123,11 +124,6 @@ conj = INTERNER.conj
 disj = INTERNER.disj
 imp = INTERNER.imp
 neg = INTERNER.neg
-
-
-def size(f: Formula) -> int:
-    """Symbol count: one per variable, falsum and connective occurrence."""
-    return f.size
 
 
 # ---------------------------------------------------------------------------
@@ -524,74 +520,6 @@ class GoalUniverse:
             return empty
         return ", ".join(to_text(self.sf[i]) for i in iter_bits(mask))
 
-    def set(self, formulas: Iterable[Formula] = ()) -> "FormulaSet":
-        return FormulaSet(self, self.mask_of(formulas))
-
-    def set_from_mask(self, mask: int) -> "FormulaSet":
-        return FormulaSet(self, mask)
-
 
 def build_universe(goal: Formula) -> GoalUniverse:
     return GoalUniverse(goal)
-
-
-class FormulaSet:
-    """A set of subformulas of one goal, stored as a bit vector."""
-
-    __slots__ = ("universe", "bits")
-
-    def __init__(self, universe: GoalUniverse, bits: int = 0):
-        if bits & ~universe.full_mask:
-            raise ValueError("bits outside the universe")
-        self.universe = universe
-        self.bits = bits
-
-    def __contains__(self, f: Formula) -> bool:
-        i = self.universe.pos.get(f.id)
-        return i is not None and (self.bits >> i) & 1 == 1
-
-    def __iter__(self) -> Iterator[Formula]:
-        for i in iter_bits(self.bits):
-            yield self.universe.sf[i]
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FormulaSet)
-                and self.universe is other.universe and self.bits == other.bits)
-
-    def __hash__(self) -> int:
-        return hash((id(self.universe), self.bits))
-
-    def __repr__(self) -> str:
-        return "{" + self.universe.render_mask(self.bits, empty="") + "}"
-
-    def _check(self, other: "FormulaSet") -> None:
-        if self.universe is not other.universe:
-            raise ValueError("FormulaSets from different universes")
-
-    def union(self, other: "FormulaSet") -> "FormulaSet":
-        self._check(other)
-        return FormulaSet(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: "FormulaSet") -> "FormulaSet":
-        self._check(other)
-        return FormulaSet(self.universe, self.bits & other.bits)
-
-    def difference(self, other: "FormulaSet") -> "FormulaSet":
-        self._check(other)
-        return FormulaSet(self.universe, self.bits & ~other.bits)
-
-    def issubset(self, other: "FormulaSet") -> bool:
-        self._check(other)
-        return not (self.bits & ~other.bits)
-
-    def add(self, f: Formula) -> "FormulaSet":
-        return FormulaSet(self.universe, self.bits | (1 << self.universe.position_of(f)))
-
-
-def closure_member(gamma: FormulaSet, f: Formula) -> bool:
-    """Is ``f`` generated by the closure of ``gamma`` within the universe?"""
-    u = gamma.universe
-    return (u.closure(gamma.bits) >> u.position_of(f)) & 1 == 1

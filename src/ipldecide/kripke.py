@@ -171,24 +171,6 @@ def check_countermodel(model: KripkeModel, goal: Formula) -> bool:
     return not model_problems(model, goal)
 
 
-def find_monotonicity_violation(model: KripkeModel, formulas: Iterable[Formula],
-                                ) -> tuple[int, int, Formula] | None:
-    """First (lower, upper, formula) with the formula forced below, not above."""
-    cache: dict[tuple[int, int], bool] = {}
-    for f in formulas:
-        for a in model.worlds():
-            if not forces(model, a, f, cache):
-                continue
-            for b in model.successors(a):
-                if not forces(model, b, f, cache):
-                    return (a, b, f)
-    return None
-
-
-def monotone_forcing_audit(model: KripkeModel, formulas: Iterable[Formula]) -> bool:
-    return find_monotonicity_violation(model, list(formulas)) is None
-
-
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------

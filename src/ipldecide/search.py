@@ -27,14 +27,15 @@ Join rules are driven by an incrementally maintained list of candidate
 premise sets: pairwise coverage of the stable parts, pairwise distinct
 right sides, and every right side admissible as a join participant (it
 must occur as an antecedent on the left of the goal, or as a disjunct on
-the right).  Sets whose stable implications are not yet supported stay
-pending until a supporting premise arrives.  Each set keeps the aggregate
-masks of ``rules.JoinParts`` (its right sides, the union of its stable
-parts, the intersection of its left sides, its common losable part and the
-implications its right sides support), so a new premise is tested against
-a whole set with one mask test, and the set it extends is built from that
-base set in constant time: the masks fold in the one new premise and the
-rank is the larger of the base's and the premise's rank plus one.  The
+the right).  Support depends only on a set's members, so a set with an
+unsupported stable implication leaves ``pending`` without ever firing;
+only its extensions by a supporting premise can fire.  Each set keeps the
+aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
+stable parts, the intersection of its left sides, its common losable part
+and the implications its right sides support), so a new premise is tested
+against a whole set with one mask test, and the set it extends is built
+from that base set in constant time: the masks fold in the one new premise
+and the rank is the larger of the base's and the premise's rank plus one.  The
 sets of each new premise fire before the next premise is added, in the
 order they were registered, so sets that would only be built after the
 goal is found never are.
@@ -119,18 +120,6 @@ class DerivationStore:
                     stack.append(p)
         return seen
 
-    def derivation_height(self, root: int) -> int:
-        memo: dict[int, int] = {}
-
-        def h(nid: int) -> int:
-            if nid in memo:
-                return memo[nid]
-            prem = self.nodes[nid].premises
-            memo[nid] = 0 if not prem else 1 + max(h(p) for p in prem)
-            return memo[nid]
-
-        return h(root)
-
     def dump(self, root: int | None = None) -> str:
         """Numbered linear rendering, premises before conclusions."""
         if root is None:
@@ -144,18 +133,6 @@ class DerivationStore:
             prem = " ".join(f"({number[p]})" for p in n.premises)
             tail = f"  {n.rule}" + (f" {prem}" if prem else "")
             lines.append(f"({number[nid]}) {n.seq.render()}{tail}")
-        return "\n".join(lines)
-
-    def graph_export(self, root: int) -> str:
-        ids = sorted(self.ancestors(root))
-        lines = ["digraph derivation {", "  rankdir=BT;", "  node [shape=box];"]
-        for nid in ids:
-            n = self.nodes[nid]
-            lines.append(f'  n{nid} [label="{n.seq.render()}\\n{n.rule}"];')
-        for nid in ids:
-            for p in self.nodes[nid].premises:
-                lines.append(f"  n{p} -> n{nid};")
-        lines.append("}")
         return "\n".join(lines)
 
 
@@ -206,12 +183,6 @@ class Database:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def node(self, nid: int) -> StoreNode:
-        return self.store.nodes[nid]
-
-    def sequents(self) -> list[Sequent]:
-        return [self.store.nodes[n].seq for n in sorted(self.entries)]
 
     def irregular_entries(self) -> list[int]:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
@@ -459,7 +430,7 @@ class SearchState:
             self.blocked.append(key)
             return
         if not cs.supported:
-            return  # pending until a premise supports every stable implication
+            return  # never fires: only an extension by a supporting premise can
         u = self.u
         rank = cs.needed_rank
         if cs.ups_in_ps3:

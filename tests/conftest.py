@@ -1,6 +1,7 @@
 import pytest
 
-from ipldecide import build_universe, parse
+from ipldecide import build_universe, parse, to_text
+from ipldecide.formula import iter_bits
 from ipldecide.rules import Sequent
 
 # The four workhorse goals: two instances of the classical-but-not-
@@ -30,6 +31,11 @@ def kp_u():
 @pytest.fixture(scope="session")
 def valid_e_u():
     return build_universe(parse(VALID_E))
+
+
+def texts(u, mask) -> set[str]:
+    """The subformulas at the positions set in ``mask``, printed."""
+    return {to_text(u.sf[i]) for i in iter_bits(mask)}
 
 
 def rseq(u, gammas, rhs) -> Sequent:

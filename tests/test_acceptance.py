@@ -14,7 +14,7 @@ from ipldecide.backward import (BSearchTrace, bsearch, check_g3i,
 from ipldecide.countermodel import (derivation_from_model, extract_model,
                                     find_soundness_violation, rank,
                                     soundness_audit)
-from ipldecide.formula import build_universe, parse, to_text
+from ipldecide.formula import build_universe, iter_bits, parse, to_text
 from ipldecide.generate import nishimura, random_formulas
 from ipldecide.kripke import KripkeModel, check_countermodel, height
 from ipldecide.rules import Sequent, weight
@@ -251,7 +251,7 @@ def test_criterion_9_derivations_from_hand_built_models():
     report("criterion 9: derivations rebuilt from hand-built countermodels", [
         ("4-world input yields the goal sequent with the single hypothesis",
          root_seq.regular and root_seq.rhs == u_s.goal_pos
-         and [to_text(f) for f in u_s.set_from_mask(root_seq.gamma)]
+         and [to_text(u_s.sf[i]) for i in iter_bits(root_seq.gamma)]
          == ["(~~p -> p) -> ~p | p"]),
         ("its join depth is 2 and its extracted model has height 2",
          rank(store_s, root_s) == 2 and height(ex_s.model) == 2),

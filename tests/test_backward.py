@@ -6,11 +6,11 @@ from ipldecide.backward import (AX, LIMP, ROR1, BSearchTrace, BSequent,
                                 InternalInvariantViolation, bsearch,
                                 bsearch_from, bweight, check_backward,
                                 check_g3i, critical, evaluate, oracle_decide,
-                                to_g3i, tree_text)
+                                to_g3i)
 from ipldecide.formula import build_universe, parse, to_text
 from ipldecide.search import Database, fsearch
 
-from conftest import ANTI_SCOTT, E_A, E_B, E_C, KP, SCOTT, VALID_E
+from conftest import ANTI_SCOTT, E_A, E_B, E_C, KP, SCOTT, VALID_E, texts
 
 
 def bseq(u, kind, lhs, rhs):
@@ -78,8 +78,7 @@ def test_bsearch_first_critical_choice_on_the_case_split(valid_e_u, e_saturated)
     tau, rule, principal = trace.critical_choices[0]
     assert rule == LIMP
     assert to_text(valid_e_u.sf[principal]) == E_A
-    assert {to_text(f) for f in valid_e_u.set_from_mask(tau.psi)} == \
-        {"p", E_A, E_B, E_C}
+    assert texts(valid_e_u, tau.psi) == {"p", E_A, E_B, E_C}
 
 
 def test_bsearch_from_inner_critical_sequent(valid_e_u, e_saturated):
@@ -103,11 +102,6 @@ def test_bsearch_weights_strictly_decrease(e_saturated):
     tree = bsearch(e_saturated)
     for parent, child in tree.edges():
         assert bweight(child.seq) < bweight(parent.seq)
-
-
-def test_tree_text_renders_rules(e_saturated):
-    text = tree_text(bsearch(e_saturated))
-    assert "[l-imp]" in text and "=>g" in text
 
 
 # -- oracle ------------------------------------------------------------------------

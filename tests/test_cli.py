@@ -1,4 +1,7 @@
 import json
+import re
+
+import pytest
 
 from ipldecide.cli import main
 
@@ -114,6 +117,47 @@ def test_audit_batch_with_a_bad_line_audits_the_rest(tmp_path, capsys):
     assert err == "parse error: line 1: unexpected trailing input ')' at column 2\n"
 
 
+def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_bytes(b"p -> p\n\xff\xfe bad\n")
+    for command in ("decide", "audit"):
+        code, out, err = run(capsys, command, str(src))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_output_files_hold_every_formula_in_input_order(tmp_path, capsys):
+    # Each named file is truncated once per run and then gets what "-"
+    # prints on stdout, verdict lines aside.
+    src = tmp_path / "f.txt"
+    src.write_text("p | ~p\np -> p\nq | ~q\n")
+    for option in ("--countermodel", "--derivation", "--db-dump"):
+        dest = tmp_path / f"{option[2:]}.txt"
+        dest.write_text("stale\n")
+        assert run(capsys, "decide", str(src), option, str(dest))[0] == 1
+        _, out, _ = run(capsys, "decide", str(src), option, "-")
+        printed = [line for line in out.splitlines(keepends=True)
+                   if not line.startswith(("valid ", "non-valid "))]
+        assert dest.read_text() == "".join(printed)
+    models = (tmp_path / "countermodel.txt").read_text()
+    assert models.index("world 0: p") < models.index("world 0: q")
+
+
+def test_decide_without_backward_subsumption_gives_the_same_verdicts(tmp_path, capsys):
+    # The stored derivations, and so the extracted models, may differ; the
+    # verdicts may not, nor under --minimal-height the model heights.
+    src = tmp_path / "f.txt"
+    src.write_text("\n".join([SCOTT, VALID_E, KP, "p -> p", "p | ~p", "~~(p | ~p)"]))
+    for flags, drop in (((), r"  countermodel: .*"),
+                        (("--minimal-height",), r"\d+ worlds, ")):
+        runs = []
+        for extra in ((), ("--no-backward-subsumption",)):
+            code, out, _ = run(capsys, "decide", str(src), *flags, *extra)
+            runs.append((code, [re.sub(drop, "", line) for line in out.splitlines()]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and len(runs[0][1]) == 6
+
+
 def test_decide_writes_artifacts(tmp_path, capsys):
     src = tmp_path / "f.txt"
     src.write_text(KP + "\n")
@@ -170,6 +214,15 @@ def test_gen_nishimura(capsys):
     assert code == 0 and out.strip() == "p | ~p"
     code, out, _ = run(capsys, "gen", "nishimura", "4")
     assert code == 0 and out.strip() == "p | ~p -> p"
+
+
+def test_gen_nishimura_rejects_indices_below_one(capsys):
+    for index in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "nishimura", index])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "at least 1" in err
 
 
 def test_gen_random_is_deterministic(capsys):

@@ -1,16 +1,15 @@
 import pytest
 
 from ipldecide.countermodel import (NotACountermodel, NotARegularRoot,
-                                    derivation_from_model, extract_model,
-                                    find_soundness_violation, rank,
-                                    semantic_world_data, soundness_audit)
-from ipldecide.formula import build_universe, parse, to_text
-from ipldecide.kripke import (KripkeModel, check_countermodel, forces, height,
-                              monotone_forcing_audit)
+                                    _world_masks, derivation_from_model,
+                                    extract_model, find_soundness_violation,
+                                    rank, soundness_audit)
+from ipldecide.formula import IMP, build_universe, iter_bits, parse, to_text
+from ipldecide.kripke import KripkeModel, check_countermodel, forces, height
 from ipldecide.search import DerivationStore, fsearch
 
-from conftest import ANTI_SCOTT, KP, SCOTT
-from test_kripke import scott_hand_model
+from conftest import ANTI_SCOTT, KP, SCOTT, texts
+from test_kripke import assert_forcing_persists, scott_hand_model
 
 
 def proof_of(text, **kw):
@@ -71,7 +70,7 @@ def test_extraction_is_monotone_and_phi_respects_derivation_order():
         out = proof_of(text)
         ex = extract_model(out.store, out.root)
         u = out.universe
-        assert monotone_forcing_audit(ex.model, list(u.sf))
+        assert_forcing_persists(ex.model, u.sf)
         # phi is antitone along derivation edges between regular sequents.
         for nid in ex.phi:
             for p in out.store.nodes[nid].premises:
@@ -171,23 +170,25 @@ def test_soundness_audit_catches_forced_right_sides():
 
 # -- semantic world data ---------------------------------------------------------
 
+# The slices derivation_from_model reads per world: the left subformulas
+# forced (lambda), the stably forced ones among them (lambda*: atoms, and
+# implications with a refuted antecedent) and the right ones refuted (omega).
+
 def test_semantic_world_data_scott_hand_model():
     u = build_universe(parse(SCOTT))
     m = scott_hand_model()
-    alpha = semantic_world_data(m, u, 1)   # final empty world
-    assert {to_text(f) for f in alpha.stably_forced_left} == {"~p"}
-    assert {to_text(f) for f in alpha.refuted_right} == {"false", "p", "~~p"}
-    gamma = semantic_world_data(m, u, 2)   # the middle world of the chain
-    names = {to_text(f) for f in gamma.stably_forced_left}
-    assert names == {to_text(f) for f in gamma.forced_left}
-    assert names == {"~~p", "(~~p -> p) -> ~p | p"}
+    _, alpha_star, alpha_omega = _world_masks(m, u, 1)   # final empty world
+    assert texts(u, alpha_star) == {"~p"}
+    assert texts(u, alpha_omega) == {"false", "p", "~~p"}
+    lam, star, _ = _world_masks(m, u, 2)   # the middle world of the chain
+    assert texts(u, star) == texts(u, lam) == {"~~p", "(~~p -> p) -> ~p | p"}
     # Stable implications have refuted antecedents by construction.
     for w in m.worlds():
-        data = semantic_world_data(m, u, w)
-        for f in data.stably_forced_left:
-            if f.kind == 4:  # implication
-                assert not forces(m, w, f.left)
-        assert data.stably_forced_left.issubset(data.forced_left)
+        lam, star, _ = _world_masks(m, u, w)
+        for i in iter_bits(star):
+            if u.sf[i].kind == IMP:
+                assert not forces(m, w, u.sf[i].left)
+        assert not star & ~lam
 
 
 def test_semantic_world_data_total_valuation():
@@ -195,9 +196,7 @@ def test_semantic_world_data_total_valuation():
     # false right subformulas; in particular no atoms.
     u = build_universe(parse(SCOTT))
     m = KripkeModel.from_order_pairs(1, [], 0, [{"p"}])
-    data = semantic_world_data(m, u, 0)
-    refuted = {to_text(f) for f in data.refuted_right}
-    assert refuted == {"false", "~p"}
+    assert texts(u, _world_masks(m, u, 0)[2]) == {"false", "~p"}
 
 
 # -- derivations from models --------------------------------------------------------
@@ -207,8 +206,7 @@ def test_derivation_from_scott_hand_model():
     store, root = derivation_from_model(scott_hand_model(), goal)
     node = store.nodes[root]
     assert node.seq.render().endswith("=> " + to_text(goal))
-    assert {to_text(f) for f in
-            store.u.set_from_mask(node.seq.gamma)} == {"(~~p -> p) -> ~p | p"}
+    assert texts(store.u, node.seq.gamma) == {"(~~p -> p) -> ~p | p"}
     assert rank(store, root) == 2
     ex = extract_model(store, root)
     assert height(ex.model) == 2 and ex.model.n == 4

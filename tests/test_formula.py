@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipldecide import formula as F
-from ipldecide.formula import (FormulaSet, ParseError, build_universe,
-                               closure_member, iter_bits, parse, size, to_text)
+from ipldecide.formula import ParseError, build_universe, iter_bits, parse, to_text
 
-from conftest import SCOTT
+from conftest import SCOTT, texts
 
 
 def names():
@@ -94,33 +93,30 @@ def test_print_parse_roundtrip(f):
     ("p & q | r", 5), ("~~p", 5),
 ])
 def test_size_counts_symbols(text, expected):
-    assert size(parse(text)) == expected
+    assert parse(text).size == expected
 
 
 # -- universes ----------------------------------------------------------------
 
 def test_universe_atom_goal():
     u = build_universe(parse("p"))
-    assert [to_text(f) for f in u.set_from_mask(u.sfr)] == ["p"]
+    assert u.render_mask(u.sfr) == "p"
     assert u.sfl == 0 and u.gbar == 0
 
 
 def test_universe_scott(scott_u):
     u = scott_u
-    left = {to_text(f) for f in u.set_from_mask(u.sfl)}
-    right = {to_text(f) for f in u.set_from_mask(u.sfr)}
+    left, right = texts(u, u.sfl), texts(u, u.sfr)
     assert {"(~~p -> p) -> ~p | p", "~p | p", "~~p", "~p", "p"} <= left
     assert {to_text(u.goal), "~~p | ~p", "~~p -> p", "~~p", "~p", "p",
             "false"} <= right
-    assert {to_text(f) for f in u.set_from_mask(u.gat)} == {"p"}
-    assert {to_text(f) for f in u.set_from_mask(u.gbar)} == \
-        {"p", "~p", "~~p", "(~~p -> p) -> ~p | p"}
+    assert texts(u, u.gat) == {"p"}
+    assert texts(u, u.gbar) == {"p", "~p", "~~p", "(~~p -> p) -> ~p | p"}
 
 
 def test_universe_kp(kp_u):
     u = kp_u
-    left = {to_text(f) for f in u.set_from_mask(u.sfl)}
-    right = {to_text(f) for f in u.set_from_mask(u.sfr)}
+    left, right = texts(u, u.sfl), texts(u, u.sfr)
     assert {"~a -> b | c", "~a", "a", "b", "c"} <= left
     assert {to_text(u.goal), "(~a -> b) | (~a -> c)", "~a -> b", "~a -> c",
             "a", "b", "c", "false"} <= right
@@ -153,11 +149,13 @@ def test_polarity_generation_clauses(scott_u, kp_u, valid_e_u):
 
 def test_closure_membership_examples():
     u = build_universe(parse("(p1 & p2) -> q"))
-    gamma = u.set([parse("p1"), parse("p2")])
-    assert closure_member(gamma, parse("p1 & p2"))
+    gamma = u.mask_of([parse("p1"), parse("p2")])
+    assert u.closure(gamma) & u.mask_of([parse("p1 & p2")])
 
     u2 = build_universe(parse("(p & q) -> ((p | q) -> b)"))
-    assert not closure_member(u2.set(()), parse("p | q"))
+    assert not u2.closure(u2.mask_of([])) & u2.mask_of([parse("p | q")])
+    with pytest.raises(KeyError):
+        u2.mask_of([parse("zz")])
 
 
 def test_closure_restricted_slice():
@@ -165,7 +163,7 @@ def test_closure_restricted_slice():
     # atom/implication slice in exactly {p, q, r->p}.
     u = build_universe(parse("(p & q & (r -> p) & (p -> r)) -> ((p & q) -> b)"))
     got = u.closure(u.mask_of([parse("p"), parse("q")])) & u.gbar
-    assert {to_text(f) for f in u.set_from_mask(got)} == {"p", "q", "r -> p"}
+    assert texts(u, got) == {"p", "q", "r -> p"}
 
 
 def _closure_oracle(u, mask):
@@ -208,30 +206,3 @@ def test_closure_properties(data):
     assert u.closure(m1 & m2) & ~cl1 == 0
     # no new atoms
     assert cl1 & u.var_mask == m1 & u.var_mask
-
-
-# -- formula sets ---------------------------------------------------------------
-
-def test_formula_set_operations(scott_u):
-    u = scott_u
-    a = u.set([parse("p"), parse("~p")])
-    b = u.set([parse("~p"), parse("~~p")])
-    assert parse("p") in a and parse("~~p") not in a
-    assert {to_text(f) for f in a.union(b)} == {"p", "~p", "~~p"}
-    assert {to_text(f) for f in a.intersection(b)} == {"~p"}
-    assert {to_text(f) for f in a.difference(b)} == {"p"}
-    assert a.intersection(b).issubset(a) and not a.issubset(b)
-    assert len(a.union(b)) == 3
-    assert a == u.set([parse("~p"), parse("p")])
-
-
-def test_formula_set_rejects_foreign_universe(scott_u, kp_u):
-    with pytest.raises(ValueError):
-        scott_u.set(()).union(kp_u.set(()))
-    with pytest.raises(KeyError):
-        scott_u.set([parse("zz")])
-
-
-def test_formula_set_rejects_out_of_range_bits(scott_u):
-    with pytest.raises(ValueError):
-        FormulaSet(scott_u, 1 << scott_u.n)

@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipldecide import formula as F
-from ipldecide.formula import parse, to_text
+from ipldecide.formula import parse
 from ipldecide.kripke import (KripkeModel, UnknownWorld, check_countermodel,
-                              find_monotonicity_violation, forces, graph_export,
-                              height, height_of, model_problems,
-                              monotone_forcing_audit, structured_export)
+                              forces, graph_export, height, height_of,
+                              model_problems, structured_export)
 
 from conftest import SCOTT
 from test_formula import formulas
@@ -96,29 +95,19 @@ def test_model_problems_name_the_failure():
     assert any(p.startswith("order") for p in model_problems(broken, parse("p")))
 
 
-def test_monotone_forcing_audit():
-    m = scott_hand_model()
-    u_formulas = [parse(t) for t in ["p", "~p", "~~p", "(~~p -> p) -> ~p | p"]]
-    assert monotone_forcing_audit(m, u_formulas)
-    assert monotone_forcing_audit(m, [])
-    # Corrupt the valuation: drop p at the top of the chain but force it via
-    # a formula lower down -- build directly to bypass from_order_pairs.
-    bad = KripkeModel(m.up, 0, [set(), set(), {"p"}, set()])
-    witness = find_monotonicity_violation(bad, [parse("p")])
-    assert witness is not None
-    a, b, f = witness
-    assert bad.leq(a, b) and to_text(f) == "p"
-
-
-def test_monotonicity_property_for_arbitrary_formulas():
-    m = scott_hand_model()
-    pool = [parse(t) for t in
-            ["p", "~p", "~~p", "p | ~p", "p & p", "~~p -> p", SCOTT]]
+def assert_forcing_persists(m, formulas):
+    """Each formula forced at a world is forced at every world above it."""
     cache = {}
-    for f, a in itertools.product(pool, m.worlds()):
+    for f, a in itertools.product(formulas, m.worlds()):
         if forces(m, a, f, cache):
             for b in m.successors(a):
                 assert forces(m, b, f, cache)
+
+
+def test_monotonicity_property_for_arbitrary_formulas():
+    pool = [parse(t) for t in
+            ["p", "~p", "~~p", "p | ~p", "p & p", "~~p -> p", SCOTT]]
+    assert_forcing_persists(scott_hand_model(), pool)
 
 
 def test_structured_and_graph_export():

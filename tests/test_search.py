@@ -31,7 +31,8 @@ def test_identity_implication_saturates():
     from ipldecide.backward import oracle_decide
     out = fsearch(parse("p -> p"))
     assert out.status == SearchOutcome.SATURATED
-    assert {s.render() for s in out.db.sequents()} == {". => p", ". ; . -> p"}
+    assert {out.store.nodes[n].seq.render() for n in out.db.entries} == \
+        {". => p", ". ; . -> p"}
     assert oracle_decide(parse("p -> p"))  # the independent route agrees
 
 
@@ -197,11 +198,14 @@ def test_goal_rhs_irregulars_complete_the_compact_database(valid_e_u):
 def test_every_stored_sequent_appears_within_its_derivation_height():
     # Without backward subsumption, a sequent provable by a stored
     # derivation of height n is subsumed in the database by iteration n+1.
+    # Premises have lower ids, so one ascending pass gives every height.
     for text in [SCOTT, VALID_E, "p | ~p", "~~(p | ~p)"]:
         out = fsearch(parse(text), backward_subsumption=False)
         store = out.db.store
-        for nid, node in enumerate(store.nodes):
-            h = store.derivation_height(nid)
+        heights = []
+        for node in store.nodes:
+            h = 1 + max((heights[p] for p in node.premises), default=-1)
+            heights.append(h)
             assert any(subsumes(node.seq, other.seq) and other.iteration <= h + 1
                        for other in store.nodes), node.seq.render()
 
