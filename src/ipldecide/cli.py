@@ -1,8 +1,9 @@
 """Command-line front end: decide formulas, emit certificates, run audits.
 
 Exit codes of ``decide``: 0 every input formula is valid, 1 some formula is
-not (its countermodel is emitted), 2 some line did not parse or the input
-could not be read as UTF-8 text, 3 internal invariant failure.  A line
+not (its countermodel is emitted), 2 some line did not parse, the input
+could not be read as UTF-8 text or an output file could not be opened (then
+no formula is decided), 3 internal invariant failure.  A line
 that does not parse is reported on stderr and the other lines are still
 decided.  Every certificate is re-verified before it is printed; an
 unverifiable certificate is a bug, reported on stderr and as ``error`` for
@@ -21,6 +22,7 @@ from .formula import Formula, ParseError, build_universe, parse, to_text
 from .search import fsearch, minimum_compact
 
 EXIT_VALID, EXIT_NONVALID, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
+MAX_LADDER_INDEX = 30
 
 
 def _read_formulas(source: str) -> tuple[list[Formula], bool] | None:
@@ -125,7 +127,11 @@ def cmd_decide(args) -> int:
         return EXIT_PARSE
     goals, parse_failed = read
     for path in {args.countermodel, args.derivation, args.db_dump} - {None, "-"}:
-        open(path, "w").close()
+        try:
+            open(path, "w").close()
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     worst = EXIT_PARSE if parse_failed else EXIT_VALID
     for goal in goals:
         code, report = _decide_one(goal, args)
@@ -209,9 +215,11 @@ def cmd_audit(args) -> int:
 
 
 def _ladder_index(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    """A ladder index from 1 to ``MAX_LADDER_INDEX``: the printed formula
+    grows about 1.5 times per index (1.46 MB at 30)."""
+    if not text.isdigit() or not 1 <= int(text) <= MAX_LADDER_INDEX:
         raise argparse.ArgumentTypeError(
-            f"expected a whole number of at least 1, got {text!r}")
+            f"expected a whole number from 1 to {MAX_LADDER_INDEX}, got {text!r}")
     return int(text)
 
 

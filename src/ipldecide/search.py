@@ -23,28 +23,48 @@ the size of that mask.  Forward subsumption looks up the exact mask and
 scans only the larger grades; backward subsumption scans only the smaller
 ones.
 
-Join rules are driven by an incrementally maintained list of candidate
-premise sets: pairwise coverage of the stable parts, pairwise distinct
-right sides, and every right side admissible as a join participant (it
-must occur as an antecedent on the left of the goal, or as a disjunct on
-the right).  Support depends only on a set's members, so a set with an
-unsupported stable implication leaves ``pending`` without ever firing;
-only its extensions by a supporting premise can fire.  Each set keeps the
+Join rules range over candidate premise sets: irregular premises with
+pairwise covering stable parts, pairwise distinct right sides, and every
+right side admissible as a join participant (it must occur as an
+antecedent on the left of the goal, or as a disjunct on the right).  No
+set is stored.  Each new premise starts a depth-first walk from its
+singleton set over the older live premises that set admits: for each
+candidate in turn it walks the extension by that candidate over the
+earlier candidates the extension admits, and fires the set itself last,
+so every set is built once, from its base set in constant time, with the
 aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
 stable parts, the intersection of its left sides, its common losable part
-and the implications its right sides support), so a new premise is tested
-against a whole set with one mask test, and the set it extends is built
-from that base set in constant time: the masks fold in the one new premise
-and the rank is the larger of the base's and the premise's rank plus one.  The
-sets of each new premise fire before the next premise is added, in the
-order they were registered, so sets that would only be built after the
-goal is found never are.
+and the implications its right sides support); its rank is the larger of
+the base's and the new premise's rank plus one.  A set with a retired
+member is skipped, and an unsupported set never fires; only its
+extensions by a supporting premise can.  The walk of each new premise
+ends before the next premise is added, so sets that would only be built
+after the goal is found never are.
 
-The minimal-height strategy delays joins: conclusions of join rank above
-the current wave are held back, and the wave only increases once
-everything else has saturated.  The first wave at which a goal sequent
-appears is then the least possible join depth, i.e. the minimal
-countermodel height.
+Before descending into a set ``S`` that has candidates, the walk bounds
+every conclusion below it.  A set ``T`` below holds ``S`` and some
+candidates, and fires only when supported, so every stable implication
+of ``T`` is in its ``cover``.  A candidate's stable part lies in the left
+side of each member of ``S``, so each of its elements is in ``S``'s
+stable parts or in ``S``'s common losable part.  Hence every left side
+below lies inside ``B = sig | theta & (var_mask | cover)``, with ``sig``
+and ``theta`` those of ``S`` and ``cover`` taken over ``S`` and all
+candidates, minus the target atom for ``join-at``.  A ``join-at`` target
+is a prime outside ``S``'s stable parts and needs ``S``'s right sides in
+``ps3``; a ``join-or`` target needs both disjuncts among the right sides
+of ``S`` and the candidates.  If the database subsumes the regular
+sequent with that left side on every such target, every conclusion below
+is forward subsumed and the subtree is skipped.  The skip is exact:
+nothing inserted means no backward subsumption, no retired entry and no
+goal sequent, so the database stays as the bound read it and the store
+is the one the full walk would leave.
+
+The minimal-height strategy delays joins: sets of join rank above the
+current wave are held back, and fire, if all their members are still
+live, once everything else has saturated and the wave increases; a
+subtree is only skipped when no set in it would be held back.  The first
+wave at which a goal sequent appears is then the least possible join
+depth, i.e. the minimal countermodel height.
 """
 
 from __future__ import annotations
@@ -62,6 +82,7 @@ AX_REG, AX_IRR = "ax=>", "ax->"
 RULE_AND, RULE_OR, RULE_IMP_IN, RULE_IMP_NOTIN = "and", "or", "imp-in", "imp-notin"
 JOIN_AT, JOIN_OR = "join-at", "join-or"
 JOIN_RULES = (JOIN_AT, JOIN_OR)
+_COUNTERS = ("candidate_sets", "generated", "forward_subsumed", "backward_removed")
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -353,12 +374,10 @@ class SearchState:
         self._goal: Optional[int] = None  # the first stored goal sequent
         self.last: list[int] = []
         self._added_now: list[int] = []
-        self._counters = {"generated": 0, "forward_subsumed": 0, "backward_removed": 0}
+        self._counters = dict.fromkeys(_COUNTERS, 0)
 
-        self.sets: dict[frozenset[int], JoinCandidateSet] = {}
-        self.by_member: dict[int, set[frozenset[int]]] = {}
-        self.pending: deque[frozenset[int]] = deque()
-        self.blocked: list[frozenset[int]] = []
+        self.members: dict[int, None] = {}  # walked join premises still live, oldest first
+        self.blocked: list[JoinCandidateSet] = []
         self.db.removal_listeners.append(self._on_removed)
 
     # -- insertion ---------------------------------------------------------
@@ -385,49 +404,72 @@ class SearchState:
         self._flush_stats()
         return self.last
 
-    # -- join candidate maintenance ----------------------------------------
-
-    def _register_set(self, members: tuple[int, ...],
-                      base: JoinCandidateSet | None = None, new: int = -1) -> None:
-        key = frozenset(members)
-        if key in self.sets:
-            return
-        cs = JoinCandidateSet(self.u, self.store, members, base, new)
-        self.sets[key] = cs
-        for m in members:
-            self.by_member.setdefault(m, set()).add(key)
-        self.pending.append(key)
+    # -- join candidate sets -------------------------------------------------
 
     def _add_candidate_member(self, nid: int) -> None:
         seq = self.store.nodes[nid].seq
-        if not (self.u.ps4_mask >> seq.rhs) & 1:
+        if nid in self.members or not (self.u.ps4_mask >> seq.rhs) & 1:
             return
-        extensions = [cs for cs in self.sets.values() if cs.admits(seq)]
-        for cs in extensions:
-            self._register_set(tuple(sorted(cs.members + (nid,))), cs, nid)
-        self._register_set((nid,))
+        cs = JoinCandidateSet(self.u, self.store, (nid,))
+        cands = [m for m in self.members if cs.admits(self.store.nodes[m].seq)]
+        self.members[nid] = None
+        if self.rng is not None:
+            self.rng.shuffle(cands)
+        self._walk(cs, cands)
+
+    def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
+        """Fire ``cs`` and every set that extends it by some of ``cands``:
+        for each candidate in turn, the extension by it and the extensions
+        of that by earlier candidates, then ``cs`` itself; skip them all
+        when ``_subsumed`` shows they would insert nothing."""
+        self._counters["candidate_sets"] += 1
+        if cands and self._subsumed(cs, cands):
+            return
+        nodes = self.store.nodes
+        for j, c in enumerate(cands):
+            if self._goal is not None:
+                return
+            if c in self.members:
+                ext = JoinCandidateSet(self.u, self.store, tuple(sorted(cs.members + (c,))),
+                                       cs, c)
+                self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
+        if self._goal is None and self._live(cs):
+            self._fire(cs)
+
+    def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
+        """Whether the database subsumes every conclusion of ``cs`` and of
+        every set that extends it by some of ``cands``, and none of those sets
+        would be held back (the bound of the module docstring)."""
+        u = self.u
+        nodes = self.store.nodes
+        if self.min_height and (cs.needed_rank > self.cap
+                                or max(nodes[c].rank for c in cands) >= self.cap):
+            return False
+        hull = JoinParts([nodes[c].seq for c in cands], cs)
+        bound = cs.sig | cs.theta & (u.var_mask | hull.cover)
+        subsumer = self.db._subsumer
+        if cs.ups_in_ps3:
+            for f in u.prime_rhs:
+                if (not (cs.sig >> f) & 1
+                        and subsumer(Sequent(u, True, bound & ~(1 << f), 0, 0, f)) is None):
+                    return False
+        ups = hull.up_mask
+        for t, c1, c2 in u.or_targets:
+            if ((ups >> c1) & 1 and (ups >> c2) & 1
+                    and subsumer(Sequent(u, True, bound, 0, 0, t)) is None):
+                return False
+        return True
+
+    def _live(self, cs: JoinCandidateSet) -> bool:
+        return all(m in self.members for m in cs.members)
 
     def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
-        for rid, repl in removed:
-            for key in list(self.by_member.get(rid, ())):
-                cs = self.sets.pop(key, None)
-                if cs is None:
-                    continue
-                for m in cs.members:
-                    self.by_member.get(m, set()).discard(key)
-                if repl is not None and not self.store.nodes[rid].seq.regular:
-                    # Same stable part and right side, wider losable part:
-                    # compatibility is preserved, so just swap the member in.
-                    members = tuple(sorted(repl if m == rid else m for m in cs.members))
-                    self._register_set(members)
-            self.by_member.pop(rid, None)
+        for rid, _repl in removed:
+            self.members.pop(rid, None)
 
-    def _fire_set(self, key: frozenset[int]) -> None:
-        cs = self.sets.get(key)
-        if cs is None:
-            return
+    def _fire(self, cs: JoinCandidateSet) -> None:
         if self.min_height and cs.needed_rank > self.cap:
-            self.blocked.append(key)
+            self.blocked.append(cs)
             return
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
@@ -443,17 +485,6 @@ class SearchState:
         for t, c1, c2 in u.or_targets:
             if (ups >> c1) & 1 and (ups >> c2) & 1:
                 self._insert(Sequent(u, True, gamma_or, 0, 0, t), JOIN_OR, cs.members, rank)
-
-    def _drain_pending(self) -> None:
-        while self.pending:
-            batch = list(self.pending)
-            self.pending.clear()
-            if self.rng is not None:
-                self.rng.shuffle(batch)
-            for key in batch:
-                if self._goal is not None:
-                    return
-                self._fire_set(key)
 
     # -- one iteration -------------------------------------------------------
 
@@ -483,7 +514,6 @@ class SearchState:
                 break
             if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
                 self._add_candidate_member(sid)
-                self._drain_pending()
         self.last = self._added_now
         self._flush_stats()
         return self.last
@@ -532,10 +562,9 @@ class SearchState:
             self.stats.append({
                 "iteration": self.iteration,
                 "db_size": len(self.db),
-                "candidate_sets": len(self.sets),
                 **self._counters,
             })
-        self._counters = {"generated": 0, "forward_subsumed": 0, "backward_removed": 0}
+        self._counters = dict.fromkeys(_COUNTERS, 0)
 
     # -- full runs -----------------------------------------------------------
 
@@ -545,10 +574,15 @@ class SearchState:
             if not self.last:
                 if self.min_height and self.blocked:
                     self.cap += 1
-                    self.pending.extend(self.blocked)
-                    self.blocked = []
+                    batch, self.blocked = self.blocked, []
+                    if self.rng is not None:
+                        self.rng.shuffle(batch)
                     self._added_now = []
-                    self._drain_pending()
+                    for cs in batch:
+                        if self._goal is not None:
+                            break
+                        if self._live(cs):
+                            self._fire(cs)
                     self.last = self._added_now
                     self._flush_stats()
                     continue

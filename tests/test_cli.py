@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ipldecide
 from ipldecide.cli import main
 
 from conftest import KP, SCOTT, VALID_E
@@ -126,6 +131,28 @@ def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
         assert err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_output_file_that_cannot_be_opened_ends_the_run_before_deciding(tmp_path,
+                                                                        capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("p | ~p\np -> p\n")
+    for option in ("--countermodel", "--derivation", "--db-dump"):
+        missing = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "decide", str(src), option, str(missing))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot write output: [Errno 2] No such file or directory")
+        assert not missing.parent.exists()
+
+
+def test_module_runs_the_command_line_from_a_checkout():
+    src = Path(ipldecide.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "ipldecide", "decide", "-"],
+                          input="p -> p\n", capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("valid")
+
+
 def test_output_files_hold_every_formula_in_input_order(tmp_path, capsys):
     # Each named file is truncated once per run and then gets what "-"
     # prints on stdout, verdict lines aside.
@@ -222,7 +249,17 @@ def test_gen_nishimura_rejects_indices_below_one(capsys):
             main(["gen", "nishimura", index])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: ") and "at least 1" in err
+        assert err.startswith("usage: ") and "from 1 to 30" in err
+
+
+def test_gen_nishimura_takes_indices_up_to_thirty(capsys):
+    code, out, _ = run(capsys, "gen", "nishimura", "30")
+    assert code == 0 and len(out) > 10**6
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "nishimura", "31"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "from 1 to 30, got '31'" in err
 
 
 def test_gen_random_is_deterministic(capsys):

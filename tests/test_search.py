@@ -407,7 +407,88 @@ def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
     assert [_database_trace(g, mh, linear_minimum_compact) for g, mh in goals] == traces
 
 
-# -- join candidate sets against the member scan ----------------------------------
+# -- join candidate sets: the walk against the stored sets ------------------------
+
+class StoredSetSearchState(SearchState):
+    """``SearchState`` with every join candidate set stored (the reference):
+    each clique of the pairwise-``covers`` graph is registered once under its
+    member set, a new member's sets fire in registration order before the
+    next member is added, held-back sets wait by key, and a member retired
+    by a strictly stronger sequent is swapped for it in each of its sets."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sets = {}
+        self.by_member = {}
+        self.pending = deque()
+
+    def _register_set(self, members, base=None, new=-1):
+        key = frozenset(members)
+        if key in self.sets:
+            return
+        cs = search.JoinCandidateSet(self.u, self.store, members, base, new)
+        self.sets[key] = cs
+        for m in members:
+            self.by_member.setdefault(m, set()).add(key)
+        self.pending.append(key)
+
+    def _register_member(self, nid):
+        seq = self.store.nodes[nid].seq
+        if not (self.u.ps4_mask >> seq.rhs) & 1:
+            return
+        extensions = [cs for cs in self.sets.values() if cs.admits(seq)]
+        for cs in extensions:
+            self._register_set(tuple(sorted(cs.members + (nid,))), cs, nid)
+        self._register_set((nid,))
+
+    def _add_candidate_member(self, nid):
+        self._register_member(nid)
+        self._drain_pending()
+
+    def _on_removed(self, removed):
+        for rid, repl in removed:
+            for key in list(self.by_member.get(rid, ())):
+                cs = self.sets.pop(key, None)
+                if cs is None:
+                    continue
+                for m in cs.members:
+                    self.by_member.get(m, set()).discard(key)
+                if repl is not None and not self.store.nodes[rid].seq.regular:
+                    members = tuple(sorted(repl if m == rid else m for m in cs.members))
+                    self._register_set(members)
+            self.by_member.pop(rid, None)
+
+    def _drain_pending(self):
+        while self.pending:
+            batch = list(self.pending)
+            self.pending.clear()
+            if self.rng is not None:
+                self.rng.shuffle(batch)
+            for key in batch:
+                if self._goal is not None:
+                    return
+                if key in self.sets:
+                    self._fire(self.sets[key])
+
+    def run(self, max_iterations=None):
+        self.insert_axioms()
+        while self._goal is None:
+            if not self.last:
+                if self.min_height and self.blocked:
+                    self.cap += 1
+                    self.pending.extend(frozenset(cs.members) for cs in self.blocked)
+                    self.blocked = []
+                    self._added_now = []
+                    self._drain_pending()
+                    self.last = self._added_now
+                    self._flush_stats()
+                    continue
+                return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
+                                     iterations=self.iteration, stats=self.stats)
+            self.step()
+        return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=self._goal,
+                             iterations=self.iteration, stats=self.stats)
+
 
 class FromScratchJoinCandidateSet(JoinParts):
     """``JoinCandidateSet`` before extensions from a base set: parts and rank
@@ -422,9 +503,9 @@ class FromScratchJoinCandidateSet(JoinParts):
         self.needed_rank = max(store.nodes[m].rank for m in members) + 1
 
 
-def scan_add_candidate_member(self, nid):
-    """``SearchState._add_candidate_member`` before the one-mask test: each
-    member of each set is checked with ``covers`` (the reference)."""
+def scan_register_member(self, nid):
+    """``StoredSetSearchState._register_member`` before the one-mask test:
+    each member of each set is checked with ``covers`` (the reference)."""
     seq = self.store.nodes[nid].seq
     if not (self.u.ps4_mask >> seq.rhs) & 1:
         return
@@ -441,99 +522,178 @@ def scan_add_candidate_member(self, nid):
     self._register_set((nid,))
 
 
-def _candidate_trace(goal, min_height):
-    """The candidate sets, their parts and both dumps after the axioms, each
-    step and each minimal-height wave."""
-    state = SearchState(build_universe(goal), min_height=min_height)
+def never_subsumed(self, cs, cands):
+    """``SearchState._subsumed`` that never skips a subtree (the full walk)."""
+    return False
+
+
+def _join_trace(state_class, goal, min_height):
+    """Every set fired or held back, with its parts and rank, and both dumps,
+    after the axioms, each step and each minimal-height wave."""
+    state = state_class(build_universe(goal), min_height=min_height)
     snapshots = []
-    flush = state._flush_stats
+    fired = []
+    fire, flush = state._fire, state._flush_stats
+
+    def record(cs):
+        fired.append((cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
+                      cs.ups_in_ps3, cs.needed_rank))
+        fire(cs)
 
     def snapshot():
         flush()
-        sets = [(key, cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
-                 cs.ups_in_ps3, cs.needed_rank) for key, cs in state.sets.items()]
-        snapshots.append((sets, state.db.dump(annotated=True), state.store.dump()))
+        snapshots.append((fired[:], state.db.dump(annotated=True), state.store.dump()))
+        fired.clear()
 
-    state._flush_stats = snapshot
+    state._fire, state._flush_stats = record, snapshot
     state.run()
     return snapshots
 
 
 def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
+    # The full walk fires the sets the stored-set reference registers, in
+    # its order and with the same parts and ranks, although it stores none
+    # and builds each from its base set.
     goals = [(_chain(n), False) for n in range(4, 9)]
     goals += [(nishimura(i), True) for i in range(1, 13)]
-    traces = [_candidate_trace(g, mh) for g, mh in goals]
-    assert max(len(cs[1]) for trace in traces for sets, *_ in trace for cs in sets) >= 3
-    monkeypatch.setattr(SearchState, "_add_candidate_member", scan_add_candidate_member)
+    monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
+    traces = [_join_trace(SearchState, g, mh) for g, mh in goals]
+    assert max(len(cs[0]) for trace in traces for fired, *_ in trace for cs in fired) >= 3
+    monkeypatch.setattr(StoredSetSearchState, "_register_member", scan_register_member)
     monkeypatch.setattr(search, "JoinCandidateSet", FromScratchJoinCandidateSet)
     for (goal, min_height), trace in zip(goals, traces):
-        assert _candidate_trace(goal, min_height) == trace, goal
+        assert _join_trace(StoredSetSearchState, goal, min_height) == trace, goal
+
+
+def _store_trace(goal, min_height, built):
+    """Status, root, both dumps and the number of candidate sets built
+    (``built`` counts them)."""
+    before = len(built)
+    out = fsearch(goal, min_height=min_height)
+    return (out.status, out.root, out.store.dump(), out.db.dump(annotated=True),
+            len(built) - before)
+
+
+def test_skipped_subtrees_would_insert_nothing(monkeypatch):
+    # Every store, root and dump of the pruned walk is the full walk's, byte
+    # for byte, while the pruned walk builds fewer sets.
+    built = []
+    monkeypatch.setattr(search, "JoinCandidateSet",
+                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    goals = [(_chain(n), False) for n in range(4, 11)]
+    goals += [(nishimura(i), mh) for i in range(1, 15) for mh in (False, True)]
+    goals += [(g, False) for g in random_formulas(2026, 3, 12, 300)]
+    # From the benchmark corpus: a bound that left out the candidates'
+    # supported implications would skip subtrees that insert.
+    goals += [(parse(text), False) for text in (
+        "p4 & (false | ~(p1 | p2) -> p1 -> p1) -> p4",
+        "p3 | (p1 -> false | p2) & (~~~(p3 | p4 | ~p3) | ~p2)",
+        "~~(p1 | (p2 -> ~(false | p1) | p2)) -> p1")]
+    pruned = [_store_trace(g, mh, built) for g, mh in goals]
+    monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
+    full = [_store_trace(g, mh, built) for g, mh in goals]
+    for run, fast, slow in zip(goals, pruned, full):
+        assert fast[:-1] == slow[:-1], run
+        assert fast[-1] <= slow[-1], run
+    assert sum(fast[-1] for fast in pruned) < sum(slow[-1] for slow in full)
+
+
+def test_equal_disjuncts_build_few_candidate_sets(monkeypatch):
+    # 16 disjuncts p: the stored sets were every non-empty subset of the 15
+    # disjunctions' right sides, 32,767; the bound skips almost all of them.
+    built = []
+    monkeypatch.setattr(search, "JoinCandidateSet",
+                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    out = fsearch(parse(" | ".join(["p"] * 16)), collect_stats=True)
+    assert out.is_proof
+    assert len(built) == sum(row["candidate_sets"] for row in out.stats) <= 200
+
+
+def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
+    # Without a seed each walk extends its new member by the older members
+    # in their order; a seed shuffles them, and the members of each step,
+    # but leaves the compact database as it is.
+    fire = SearchState._fire
+    walks = []
+
+    def record(self, cs):
+        members = list(self.members)
+        if len(cs.members) == 2:
+            walks[-1].setdefault(members[-1], []).append(
+                min(members.index(m) for m in cs.members))
+        fire(self, cs)
+
+    monkeypatch.setattr(SearchState, "_fire", record)
+    dumps = set()
+    for seed in (None, 1, 2, 3):
+        walks.append({})
+        dumps.add(minimum_compact(fsearch(_chain(6), shuffle_seed=seed).db).dump())
+        in_order = all(older == sorted(older) for older in walks[-1].values())
+        assert in_order == (seed is None), seed
+    assert len(dumps) == 1
+    assert len({repr(w) for w in walks}) == 4
 
 
 # -- the stop at the first goal sequent against the iteration-granular loop -------
 
-def iteration_drain_pending(self):
-    """``SearchState._drain_pending`` before the stop: fires every pending
-    set (the reference)."""
-    while self.pending:
-        batch = list(self.pending)
-        self.pending.clear()
-        if self.rng is not None:
-            self.rng.shuffle(batch)
-        for key in batch:
-            self._fire_set(key)
-
-
-def iteration_step(self):
-    """``SearchState.step`` before the stop: every rule instance of the
+class IterationSearchState(StoredSetSearchState):
+    """The stored-set reference before the stop: every rule instance of an
     iteration is applied and every new member registered before any new set
-    fires (the reference)."""
-    self.iteration += 1
-    self._added_now = []
-    order = list(self.last)
-    if self.rng is not None:
-        self.rng.shuffle(order)
-    for sid in order:
-        if sid not in self.db.entries:
-            continue
-        node = self.store.nodes[sid]
-        if node.seq.regular:
-            self._regular_step(sid, node)
-        else:
-            self._irregular_step(sid, node)
-    for sid in order:
-        if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
-            self._add_candidate_member(sid)
-    self._drain_pending()
-    self.last = self._added_now
-    self._flush_stats()
-    return self.last
+    fires, every pending set fires, and the database is searched for a goal
+    sequent only between iterations."""
 
+    def _drain_pending(self):
+        while self.pending:
+            batch = list(self.pending)
+            self.pending.clear()
+            if self.rng is not None:
+                self.rng.shuffle(batch)
+            for key in batch:
+                if key in self.sets:
+                    self._fire(self.sets[key])
 
-def iteration_run(self, max_iterations=None):
-    """``SearchState.run`` before the stop: the database is searched for a
-    goal sequent only between iterations (the reference)."""
-    self.insert_axioms()
-    while True:
-        goal = LinearScanDatabase.find_goal(self.db)
-        if goal is not None:
-            return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
-                                 iterations=self.iteration, stats=self.stats)
-        if not self.last:
-            if self.min_height and self.blocked:
-                self.cap += 1
-                self.pending.extend(self.blocked)
-                self.blocked = []
-                self._added_now = []
-                self._drain_pending()
-                self.last = self._added_now
-                self._flush_stats()
+    def step(self):
+        self.iteration += 1
+        self._added_now = []
+        order = list(self.last)
+        if self.rng is not None:
+            self.rng.shuffle(order)
+        for sid in order:
+            if sid not in self.db.entries:
                 continue
-            return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
-                                 iterations=self.iteration, stats=self.stats)
-        if max_iterations is not None and self.iteration >= max_iterations:
-            raise IterationBudgetExceeded(f"no fixpoint within {max_iterations} iterations")
-        self.step()
+            node = self.store.nodes[sid]
+            if node.seq.regular:
+                self._regular_step(sid, node)
+            else:
+                self._irregular_step(sid, node)
+        for sid in order:
+            if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
+                self._register_member(sid)
+        self._drain_pending()
+        self.last = self._added_now
+        self._flush_stats()
+        return self.last
+
+    def run(self, max_iterations=None):
+        self.insert_axioms()
+        while True:
+            goal = LinearScanDatabase.find_goal(self.db)
+            if goal is not None:
+                return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
+                                     iterations=self.iteration, stats=self.stats)
+            if not self.last:
+                if self.min_height and self.blocked:
+                    self.cap += 1
+                    self.pending.extend(frozenset(cs.members) for cs in self.blocked)
+                    self.blocked = []
+                    self._added_now = []
+                    self._drain_pending()
+                    self.last = self._added_now
+                    self._flush_stats()
+                    continue
+                return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
+                                     iterations=self.iteration, stats=self.stats)
+            self.step()
 
 
 def _stop_trace(goal, min_height, backward_subsumption, built):
@@ -559,9 +719,7 @@ def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
     goals += [(g, False) for g in random_formulas(2026, 3, 12, 150)]
     runs = [(g, mh, bw, built) for g, mh in goals for bw in (True, False)]
     traces = [_stop_trace(*run) for run in runs]
-    monkeypatch.setattr(SearchState, "_drain_pending", iteration_drain_pending)
-    monkeypatch.setattr(SearchState, "step", iteration_step)
-    monkeypatch.setattr(SearchState, "run", iteration_run)
+    monkeypatch.setattr(search, "SearchState", IterationSearchState)
     cut = fewer_sets = 0
     for run, (status, nodes, root, goal_pos, dumps, sets) in zip(runs, traces):
         ref_status, ref_nodes, _ref_root, _goal_pos, ref_dumps, ref_sets = _stop_trace(*run)
