@@ -92,6 +92,7 @@ def _decide_one(goal: Formula, args) -> tuple[int, dict]:
         if not kripke.check_countermodel(extracted.model, goal):
             print("internal error: extracted model failed verification",
                   file=sys.stderr)
+            report["verdict"] = "error"
             return EXIT_INTERNAL, report
         report["verdict"] = "non-valid"
         report["model_height"] = kripke.height(extracted.model)
@@ -107,6 +108,7 @@ def _decide_one(goal: Formula, args) -> tuple[int, dict]:
         problem = backward.check_g3i(g3, outcome.universe)
         if problem is not None:
             print(f"internal error: certificate failed at {problem}", file=sys.stderr)
+            report["verdict"] = "error"
             return EXIT_INTERNAL, report
         report["verdict"] = "valid"
         report["certificate_nodes"] = sum(1 for _ in g3.nodes())
@@ -142,7 +144,7 @@ def cmd_decide(args) -> int:
             if report.get("verdict") == "non-valid":
                 extra = (f"  countermodel: {report['model_worlds']} worlds,"
                          f" height {report['model_height']}")
-            print(f"{report.get('verdict', 'error'):9s} {report['formula']}{extra}")
+            print(f"{report['verdict']:9s} {report['formula']}{extra}")
             if args.stats:
                 for row in report.get("stats", []):
                     print(f"    {row}")
@@ -223,6 +225,20 @@ def _ladder_index(text: str) -> int:
     return int(text)
 
 
+def _at_least(low: int):
+    """An argument type: a whole number of at least ``low``."""
+    def whole_number(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number of at least {low}, got {text!r}")
+        return value
+    return whole_number
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ipldecide",
@@ -250,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     gn = gs.add_parser("nishimura")
     gn.add_argument("index", type=_ladder_index)
     gr = gs.add_parser("random")
-    gr.add_argument("--vars", type=int, default=3)
-    gr.add_argument("--size", type=int, default=12)
-    gr.add_argument("--count", type=int, default=10)
+    gr.add_argument("--vars", type=_at_least(1), default=3)
+    gr.add_argument("--size", type=_at_least(1), default=12)
+    gr.add_argument("--count", type=_at_least(0), default=10)
     gr.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen)
 

@@ -167,11 +167,11 @@ class JoinParts:
     plus the common losable implications inside ``cover``; it applies only
     when ``supported``, i.e. every stable implication lies inside ``cover``.
 
-    Built by folding the premises in one at a time, optionally onto a
-    ``base`` built the same way, so one more premise costs one fold.  Every
-    premise covers every other (:func:`covers`) exactly when ``sig`` lies
-    inside ``meet`` (:attr:`covered`), so one mask test tells whether a
-    sequent extends the premises (:meth:`admits`).
+    Built by folding the premises in one at a time (:meth:`fold`),
+    optionally onto a ``base`` built the same way, so one more premise costs
+    one fold.  Every premise covers every other (:func:`covers`) exactly when
+    ``sig`` lies inside ``meet`` (:attr:`covered`), so one mask test tells
+    whether a sequent extends the premises (:meth:`admits`).
     """
 
     __slots__ = ("u", "up_mask", "sig", "meet", "theta", "cover")
@@ -179,26 +179,22 @@ class JoinParts:
     def __init__(self, seqs: Iterable[Sequent], base: JoinParts | None = None):
         if base is None:
             seqs = list(seqs)
-            u = seqs[0].u
-            up_mask = sig = cover = 0
-            meet = theta = u.full_mask
-        else:
-            u = base.u
-            up_mask, sig, meet, theta, cover = (base.up_mask, base.sig, base.meet,
-                                                base.theta, base.cover)
-        by_ante = u.imps_by_ante
+            self.u = seqs[0].u
+            self.up_mask = self.sig = self.cover = 0
+            self.meet = self.theta = self.u.full_mask
+            base = self
         for s in seqs:
-            up_mask |= 1 << s.rhs
-            sig |= s.sigma
-            meet &= s.sigma | s.theta
-            theta &= s.theta
-            cover |= by_ante.get(s.rhs, 0)
-        self.u = u
-        self.up_mask = up_mask
-        self.sig = sig
-        self.meet = meet
-        self.theta = theta
-        self.cover = cover
+            self.fold(base, s)
+            base = self
+
+    def fold(self, base: JoinParts, s: Sequent) -> None:
+        """Set the parts to those of ``base`` with the premise ``s`` added."""
+        u = self.u = base.u
+        self.up_mask = base.up_mask | 1 << s.rhs
+        self.sig = base.sig | s.sigma
+        self.meet = base.meet & (s.sigma | s.theta)
+        self.theta = base.theta & s.theta
+        self.cover = base.cover | u.imps_by_ante.get(s.rhs, 0)
 
     @property
     def supported(self) -> bool:

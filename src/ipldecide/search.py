@@ -35,16 +35,22 @@ so every set is built once, from its base set in constant time, with the
 aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
 stable parts, the intersection of its left sides, its common losable part
 and the implications its right sides support); its rank is the larger of
-the base's and the new premise's rank plus one.  A set with a retired
-member is skipped, and an unsupported set never fires; only its
-extensions by a supporting premise can.  The walk of each new premise
-ends before the next premise is added, so sets that would only be built
-after the goal is found never are.
+the base's and the new premise's rank plus one.  An unsupported set never
+fires; only its extensions by a supporting premise can.  A set with a
+retired member never fires either, nor does any set below it, so the walk
+leaves a set once one of its members is retired; a count of retired
+premises tells the walk when to look.  The walk of each new premise ends
+before the next premise is added, so sets that would only be built after
+the goal is found never are.
 
 Before descending into a set ``S`` that has candidates, the walk bounds
-every conclusion below it.  A set ``T`` below holds ``S`` and some
-candidates, and fires only when supported, so every stable implication
-of ``T`` is in its ``cover``.  A candidate's stable part lies in the left
+every set below it.  A set ``T`` below holds ``S`` and some candidates, so
+its stable parts hold ``S``'s and its ``cover`` lies inside the ``cover``
+taken over ``S`` and all candidates.  If a stable implication of ``S``
+lies outside that ``cover``, no ``T`` is supported, so none fires and none
+is held back, and the subtree is skipped: nothing in it would insert.
+Otherwise ``T`` fires only when supported, so every stable implication of
+``T`` is in its ``cover``.  A candidate's stable part lies in the left
 side of each member of ``S``, so each of its elements is in ``S``'s
 stable parts or in ``S``'s common losable part.  Hence every left side
 below lies inside ``B = sig | theta & (var_mask | cover)``, with ``sig``
@@ -59,10 +65,11 @@ nothing inserted means no backward subsumption, no retired entry and no
 goal sequent, so the database stays as the bound read it and the store
 is the one the full walk would leave.
 
-The minimal-height strategy delays joins: sets of join rank above the
-current wave are held back, and fire, if all their members are still
-live, once everything else has saturated and the wave increases; a
-subtree is only skipped when no set in it would be held back.  The first
+The minimal-height strategy delays joins: supported sets of join rank
+above the current wave are held back, and fire, if all their members are
+still live, once everything else has saturated and the wave increases.
+So the support bound is exact under it too, while the subsumption bound
+only skips a subtree when no set in it would be held back.  The first
 wave at which a goal sequent appears is then the least possible join
 depth, i.e. the minimal countermodel height.
 """
@@ -82,7 +89,8 @@ AX_REG, AX_IRR = "ax=>", "ax->"
 RULE_AND, RULE_OR, RULE_IMP_IN, RULE_IMP_NOTIN = "and", "or", "imp-in", "imp-notin"
 JOIN_AT, JOIN_OR = "join-at", "join-or"
 JOIN_RULES = (JOIN_AT, JOIN_OR)
-_COUNTERS = ("candidate_sets", "generated", "forward_subsumed", "backward_removed")
+_COUNTERS = ("candidate_sets", "subtrees_skipped", "generated", "forward_subsumed",
+             "backward_removed")
 
 
 class IterationBudgetExceeded(RuntimeError):
@@ -117,14 +125,20 @@ class DerivationStore:
 
     def add(self, seq: Sequent, rule: str, premises: tuple[int, ...],
             iteration: int, rank: int) -> tuple[int, bool]:
-        nid = self.by_key.get(seq.key)
+        key = seq.key
+        nid = self.by_key.get(key)
         if nid is not None:
             return nid, False
         nid = len(self.nodes)
         self.nodes.append(StoreNode(seq, rule, premises, iteration, rank))
-        self.by_key[seq.key] = nid
+        self.by_key[key] = nid
+        consumers = self.consumers
         for p in premises:
-            self.consumers.setdefault(p, []).append(nid)
+            users = consumers.get(p)
+            if users is None:
+                consumers[p] = [nid]
+            else:
+                users.append(nid)
         return nid, True
 
     def __len__(self) -> int:
@@ -208,16 +222,12 @@ class Database:
     def irregular_entries(self) -> list[int]:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
 
-    def _link(self, nid: int, seq: Sequent) -> tuple[dict[int, dict[int, int]], int, int]:
-        """Make ``nid`` (holding ``seq``) live; returns its index bucket,
-        its mask and the mask's size."""
+    def _link(self, nid: int, seq: Sequent) -> None:
+        """Make ``nid`` (holding ``seq``) live."""
         self.entries.add(nid)
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
         key, mask = _index_key(seq)
-        k = mask.bit_count()
-        grades = self._index.setdefault(key, {})
-        grades.setdefault(k, {})[mask] = nid
-        return grades, mask, k
+        self._index.setdefault(key, {}).setdefault(mask.bit_count(), {})[mask] = nid
 
     def _unlink(self, nid: int) -> None:
         seq = self.store.nodes[nid].seq
@@ -232,27 +242,51 @@ class Database:
         entry subsumes it."""
         key, mask = _index_key(seq)
         grades = self._index.get(key)
-        if not grades:
-            return None
+        return self._scan_up(grades, seq, mask, mask.bit_count()) if grades else None
+
+    def _scan_up(self, grades: dict[int, dict[int, int]], seq: Sequent, mask: int,
+                 k: int) -> Optional[int]:
+        """:meth:`_subsumer` within the bucket ``grades`` of ``seq``, whose
+        mask ``mask`` has ``k`` elements."""
         nodes = self.store.nodes
-        k = mask.bit_count()
         for size, group in grades.items():
             if size > k:
                 for m, e in group.items():
                     if not mask & ~m and subsumes(seq, nodes[e].seq):
                         return e
-        e = grades.get(k, {}).get(mask)
+        group = grades.get(k)
+        e = group.get(mask) if group is not None else None
         return e if e is not None and subsumes(seq, nodes[e].seq) else None
 
     def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
                iteration: int = 0, rank: int = 0) -> InsertResult:
         """Forward subsumption check, then store; in compact mode also retire
         every strictly subsumed entry together with its stored consequences."""
-        e = self._subsumer(seq)
-        if e is not None:
-            return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
+        rhs = seq.rhs
+        if seq.regular:
+            key, mask = (True, rhs), seq.gamma
+        else:
+            key, mask = (False, rhs, seq.sigma), seq.theta
+        k = mask.bit_count()
+        grades = self._index.get(key)
+        if grades is None:
+            grades = self._index[key] = {}
+        else:
+            e = self._scan_up(grades, seq, mask, k)
+            if e is not None:
+                return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
         nid, _created = self.store.add(seq, rule, premises, iteration, rank)
-        grades, mask, k = self._link(nid, seq)
+        self.entries.add(nid)
+        same_rhs = self.by_rhs.get(rhs)
+        if same_rhs is None:
+            self.by_rhs[rhs] = {nid}
+        else:
+            same_rhs.add(nid)
+        group = grades.get(k)
+        if group is None:
+            grades[k] = {mask: nid}
+        else:
+            group[mask] = nid
         doomed = []
         if self.compact_mode:
             nodes = self.store.nodes
@@ -325,7 +359,7 @@ class JoinCandidateSet(JoinParts):
             self.needed_rank = max(store.nodes[m].rank for m in members) + 1
         else:
             node = store.nodes[new]
-            super().__init__((node.seq,), base)
+            self.fold(base, node.seq)
             self.needed_rank = max(base.needed_rank, node.rank + 1)
         self.members = members
         self.ups_in_ps3 = not self.up_mask & ~u.ps3_mask
@@ -377,6 +411,7 @@ class SearchState:
         self._counters = dict.fromkeys(_COUNTERS, 0)
 
         self.members: dict[int, None] = {}  # walked join premises still live, oldest first
+        self.retired = 0  # walked join premises retired so far
         self.blocked: list[JoinCandidateSet] = []
         self.db.removal_listeners.append(self._on_removed)
 
@@ -418,42 +453,57 @@ class SearchState:
         self._walk(cs, cands)
 
     def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
-        """Fire ``cs`` and every set that extends it by some of ``cands``:
-        for each candidate in turn, the extension by it and the extensions
-        of that by earlier candidates, then ``cs`` itself; skip them all
-        when ``_subsumed`` shows they would insert nothing."""
+        """Fire ``cs`` (all of whose members are live) and every set that
+        extends it by some of ``cands``: for each candidate in turn, the
+        extension by it and the extensions of that by earlier candidates,
+        then ``cs`` itself; skip them all when ``_subsumed`` shows they would
+        insert nothing, and stop once a member of ``cs`` is retired."""
         self._counters["candidate_sets"] += 1
         if cands and self._subsumed(cs, cands):
+            self._counters["subtrees_skipped"] += 1
             return
         nodes = self.store.nodes
+        members = self.members
+        retired = self.retired
         for j, c in enumerate(cands):
             if self._goal is not None:
                 return
-            if c in self.members:
+            if c in members:
+                if self.retired != retired:
+                    if not self._live(cs):
+                        return
+                    retired = self.retired
                 ext = JoinCandidateSet(self.u, self.store, tuple(sorted(cs.members + (c,))),
                                        cs, c)
                 self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
-        if self._goal is None and self._live(cs):
+        if self._goal is None and (self.retired == retired or self._live(cs)):
             self._fire(cs)
 
     def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
-        """Whether the database subsumes every conclusion of ``cs`` and of
-        every set that extends it by some of ``cands``, and none of those sets
-        would be held back (the bound of the module docstring)."""
+        """Whether no set that extends ``cs`` by some of ``cands``, ``cs``
+        included, is supported, or the database subsumes every conclusion of
+        them all and none would be held back (the bounds of the module
+        docstring)."""
         u = self.u
         nodes = self.store.nodes
+        by_ante = u.imps_by_ante
+        ups, cover = cs.up_mask, cs.cover
+        for c in cands:
+            rhs = nodes[c].seq.rhs
+            ups |= 1 << rhs
+            cover |= by_ante.get(rhs, 0)
+        if cs.sig & u.imp_mask & ~cover:
+            return True
         if self.min_height and (cs.needed_rank > self.cap
                                 or max(nodes[c].rank for c in cands) >= self.cap):
             return False
-        hull = JoinParts([nodes[c].seq for c in cands], cs)
-        bound = cs.sig | cs.theta & (u.var_mask | hull.cover)
+        bound = cs.sig | cs.theta & (u.var_mask | cover)
         subsumer = self.db._subsumer
         if cs.ups_in_ps3:
             for f in u.prime_rhs:
                 if (not (cs.sig >> f) & 1
                         and subsumer(Sequent(u, True, bound & ~(1 << f), 0, 0, f)) is None):
                     return False
-        ups = hull.up_mask
         for t, c1, c2 in u.or_targets:
             if ((ups >> c1) & 1 and (ups >> c2) & 1
                     and subsumer(Sequent(u, True, bound, 0, 0, t)) is None):
@@ -465,14 +515,16 @@ class SearchState:
 
     def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
         for rid, _repl in removed:
-            self.members.pop(rid, None)
+            if rid in self.members:
+                del self.members[rid]
+                self.retired += 1
 
     def _fire(self, cs: JoinCandidateSet) -> None:
+        if not cs.supported:
+            return  # never fires: only an extension by a supporting premise can
         if self.min_height and cs.needed_rank > self.cap:
             self.blocked.append(cs)
             return
-        if not cs.supported:
-            return  # never fires: only an extension by a supporting premise can
         u = self.u
         rank = cs.needed_rank
         if cs.ups_in_ps3:

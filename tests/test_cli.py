@@ -85,7 +85,8 @@ def test_long_chains_are_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
         assert [line.split(None, 1)[1] for line in decided] == ["p -> p"] * 2
 
 
-def test_internal_error_is_reported_and_the_batch_goes_on(tmp_path, capsys, monkeypatch):
+def _fail_the_first_certificate(monkeypatch, tmp_path):
+    """Make the first G3i check fail; returns a file of two valid formulas."""
     from ipldecide import backward
     check_g3i = backward.check_g3i
     calls = []
@@ -97,9 +98,25 @@ def test_internal_error_is_reported_and_the_batch_goes_on(tmp_path, capsys, monk
     monkeypatch.setattr(backward, "check_g3i", failing_once)
     src = tmp_path / "f.txt"
     src.write_text("p -> p\n" + VALID_E + "\n")
+    return src
+
+
+def test_internal_error_is_reported_and_the_batch_goes_on(tmp_path, capsys, monkeypatch):
+    src = _fail_the_first_certificate(monkeypatch, tmp_path)
     code, out, err = run(capsys, "decide", str(src))
     assert code == 3
     assert [line.split()[0] for line in out.splitlines()] == ["error", "valid"]
+    assert err == "internal error: certificate failed at the root\n"
+
+
+def test_internal_error_is_reported_in_the_structured_format(tmp_path, capsys,
+                                                             monkeypatch):
+    src = _fail_the_first_certificate(monkeypatch, tmp_path)
+    code, out, err = run(capsys, "decide", str(src), "--format", "structured")
+    assert code == 3
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["verdict"] for r in reports] == ["error", "valid"]
+    assert reports[0]["formula"] == "p -> p"
     assert err == "internal error: certificate failed at the root\n"
 
 
@@ -268,6 +285,19 @@ def test_gen_random_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second and len(first.splitlines()) == 5
+
+
+def test_gen_random_rejects_sizes_below_one_and_negative_counts(capsys):
+    for option, value, low in (("--vars", "0", 1), ("--vars", "-2", 1), ("--size", "0", 1),
+                               ("--size", "-5", 1), ("--count", "-3", 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random", option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"{option}: expected a whole number of at least {low}, got '{value}'" in err
+    code, out, _ = run(capsys, "gen", "random", "--vars", "1", "--size", "1", "--count", "0")
+    assert code == 0 and out == ""
 
 
 def test_audit_passes_on_principals(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from ipldecide import countermodel, search
 from ipldecide.countermodel import derivation_from_model, extract_model
-from ipldecide.formula import build_universe, iter_bits, parse
-from ipldecide.generate import nishimura, random_formulas
+from ipldecide.formula import build_universe, iter_bits, parse, to_text
+from ipldecide.generate import nishimura, random_formula, random_formulas
 from ipldecide.kripke import height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
@@ -235,8 +236,11 @@ def test_stats_counters(scott_u):
     assert out.stats, "stats requested but none collected"
     total_added = sum(1 for _ in out.db.store.nodes)
     assert sum(row["generated"] for row in out.stats) >= total_added
-    assert all({"iteration", "db_size", "candidate_sets", "forward_subsumed",
-                "backward_removed"} <= set(row) for row in out.stats)
+    assert all({"iteration", "db_size", "candidate_sets", "subtrees_skipped",
+                "forward_subsumed", "backward_removed"} <= set(row) for row in out.stats)
+    # Each skipped subtree is rooted at a set that was built and counted.
+    assert 0 < sum(row["subtrees_skipped"] for row in out.stats) \
+        <= sum(row["candidate_sets"] for row in out.stats)
 
 
 # -- shift kernels against the subset enumeration --------------------------------
@@ -527,6 +531,10 @@ def never_subsumed(self, cs, cands):
     return False
 
 
+class FullWalkSearchState(SearchState):
+    _subsumed = never_subsumed
+
+
 def _join_trace(state_class, goal, min_height):
     """Every set fired or held back, with its parts and rank, and both dumps,
     after the axioms, each step and each minimal-height wave."""
@@ -582,6 +590,10 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
     goals = [(_chain(n), False) for n in range(4, 11)]
     goals += [(nishimura(i), mh) for i in range(1, 15) for mh in (False, True)]
+    goals += [(nishimura(i), True) for i in (15, 16)]
+    # Every set below the root of a nested negation is unsupported, so the
+    # support bound skips almost the whole walk.
+    goals += [(parse("~" * n + "p"), False) for n in (20, 30)]
     goals += [(g, False) for g in random_formulas(2026, 3, 12, 300)]
     # From the benchmark corpus: a bound that left out the candidates'
     # supported implications would skip subtrees that insert.
@@ -598,15 +610,52 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     assert sum(fast[-1] for fast in pruned) < sum(slow[-1] for slow in full)
 
 
-def test_equal_disjuncts_build_few_candidate_sets(monkeypatch):
-    # 16 disjuncts p: the stored sets were every non-empty subset of the 15
-    # disjunctions' right sides, 32,767; the bound skips almost all of them.
+def _sets_built_to_refute(monkeypatch, text):
+    """The candidate sets built to refute ``text``, as the stats rows count
+    them and as constructed."""
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    out = fsearch(parse(" | ".join(["p"] * 16)), collect_stats=True)
+    out = fsearch(parse(text), collect_stats=True)
     assert out.is_proof
-    assert len(built) == sum(row["candidate_sets"] for row in out.stats) <= 200
+    return sum(row["candidate_sets"] for row in out.stats), len(built)
+
+
+def test_equal_disjuncts_build_few_candidate_sets(monkeypatch):
+    # 16 disjuncts p: the stored sets were every non-empty subset of the 15
+    # disjunctions' right sides, 32,767; the bound skips almost all of them.
+    counted, built = _sets_built_to_refute(monkeypatch, " | ".join(["p"] * 16))
+    assert counted == built <= 200
+
+
+def test_nested_negations_build_few_candidate_sets(monkeypatch):
+    # 34 negations of p: the full walk builds 2^17 - 1 sets, nearly all of
+    # them unsupported; the support bound skips every such subtree.
+    counted, built = _sets_built_to_refute(monkeypatch, "~" * 34 + "p")
+    assert counted == built <= 1000
+
+
+def _walk_trace(state_class, goal, min_height):
+    out = state_class(build_universe(goal), min_height=min_height).run()
+    return (out.status, out.root, out.store.dump(), out.db.dump(annotated=True),
+            minimum_compact(out.db).dump())
+
+
+def _larger_formula(seed):
+    """The first random formula over four variables with 28 to 40 symbols."""
+    rng = random.Random(seed)
+    while True:
+        goal = random_formula(rng, ["p1", "p2", "p3", "p4"], 40)
+        if goal.size >= 28:
+            return goal
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_pruned_walk_matches_the_full_walk_on_larger_formulas(seed, min_height):
+    goal = _larger_formula(seed)
+    assert (_walk_trace(SearchState, goal, min_height)
+            == _walk_trace(FullWalkSearchState, goal, min_height)), to_text(goal)
 
 
 def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
