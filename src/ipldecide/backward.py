@@ -459,24 +459,20 @@ _G3_RULES = {AX: "ax", LBOT: "l-bot", LAND: "l-and", RAND: "r-and", LOR: "l-or",
              RIMP_IN: "r-imp", RIMP_NOTIN: "r-imp"}
 
 
-def _weaken(node: G3Node, extra: int) -> G3Node:
-    """Add formulas to every context of a subtree (weakening is admissible
-    and purely syntactic here)."""
-    return G3Node(node.psi | extra, node.rhs, node.rule,
-                  tuple(_weaken(c, extra) for c in node.children), node.principal)
-
-
-def to_g3i(node: BNode) -> G3Node:
+def to_g3i(node: BNode, extra: int = 0) -> G3Node:
     """Erase the regular/irregular split; the closed right-implication rule
-    additionally pushes the antecedent into its premise's context so both
-    right-implication forms become the single G3i rule."""
+    additionally pushes the antecedent into the contexts of the subtree above
+    it (weakening, admissible and purely syntactic here), so both
+    right-implication forms become the single G3i rule.  ``extra`` holds the
+    formulas pushed in from below; one already in a node's own context is
+    not pushed further, so a rule that consumes it never finds it again."""
     u = node.seq.u
-    kids = tuple(to_g3i(c) for c in node.children)
+    extra &= ~node.seq.psi
+    up = extra
     if node.rule == RIMP_IN:
-        a = u.pos[u.sf[node.seq.rhs].left.id]
-        kids = (_weaken(kids[0], 1 << a),)
-    return G3Node(node.seq.psi, node.seq.rhs, _G3_RULES[node.rule], kids,
-                  node.principal)
+        up |= 1 << u.pos[u.sf[node.seq.rhs].left.id]
+    return G3Node(node.seq.psi | extra, node.seq.rhs, _G3_RULES[node.rule],
+                  tuple(to_g3i(c, up) for c in node.children), node.principal)
 
 
 def check_g3i(root: G3Node, universe: GoalUniverse,

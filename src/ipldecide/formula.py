@@ -131,11 +131,11 @@ neg = INTERNER.neg
 #           "~" > "&" > "|" > "->" (right-assoc); parentheses allowed.
 # ---------------------------------------------------------------------------
 
-#: Deepest nesting of parentheses, negations and right-nested implications
-#: the parser accepts, and the greatest height of a conjunction or
-#: disjunction it builds (a left-deep chain of n operands has height n - 1).
-#: Together they keep the parser and every recursive pass over a parsed
-#: formula well inside Python's default recursion limit.
+#: The greatest height of a formula the parser builds (a left-deep chain of
+#: n operands has height n - 1, and so do n - 1 negations of an atom), and
+#: the deepest nesting of parentheses it accepts: only parentheses make the
+#: parser recurse.  Together they keep the parser and every recursive pass
+#: over a parsed formula well inside Python's default recursion limit.
 MAX_NESTING = 100
 
 
@@ -217,32 +217,31 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {val!r}", line, col)
         return f
 
-    def nested(self, parse_inner) -> Formula:
-        """``parse_inner()`` one nesting level deeper; too deep is a ParseError."""
-        if self.depth == MAX_NESTING:
-            _kind, _val, line, col = self.peek()
+    def capped(self, f: Formula, line: int, col: int) -> Formula:
+        """``f``, built by the operator at ``line``, ``col``; higher than
+        MAX_NESTING is a ParseError there."""
+        if f.height > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", line, col)
-        self.depth += 1
-        f = parse_inner()
-        self.depth -= 1
         return f
 
     def imp_expr(self) -> Formula:
-        left = self.or_expr()
-        if self.peek()[1] == "->":
-            self.next()
-            return self.intern.imp(left, self.nested(self.imp_expr))
-        return left
+        operands = [self.or_expr()]
+        arrows = []
+        while self.peek()[1] == "->":
+            arrows.append(self.next())
+            operands.append(self.or_expr())
+        f = operands.pop()
+        while arrows:  # right-associative: fold from the innermost arrow out
+            _kind, _val, line, col = arrows.pop()
+            f = self.capped(self.intern.imp(operands.pop(), f), line, col)
+        return f
 
     def chain(self, op: str, build, parse_operand) -> Formula:
-        """A left-deep chain of ``op``; one higher than MAX_NESTING is a
-        ParseError at the operator that makes it so."""
+        """A left-deep chain of ``op``."""
         f = parse_operand()
         while self.peek()[1] == op:
             _kind, _val, line, col = self.next()
-            f = build(f, parse_operand())
-            if f.height > MAX_NESTING:
-                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", line, col)
+            f = self.capped(build(f, parse_operand()), line, col)
         return f
 
     def or_expr(self) -> Formula:
@@ -252,22 +251,30 @@ class _Parser:
         return self.chain("&", self.intern.conj, self.unary)
 
     def unary(self) -> Formula:
-        kind, val, line, col = self.peek()
-        if val == "~":
-            self.next()
-            return self.intern.neg(self.nested(self.unary))
+        negations = []
+        while self.peek()[1] == "~":
+            negations.append(self.next())
+        f = self.atom()
+        while negations:
+            _kind, _val, line, col = negations.pop()
+            f = self.capped(self.intern.neg(f), line, col)
+        return f
+
+    def atom(self) -> Formula:
+        kind, val, line, col = self.next()
         if val == "(":
-            self.next()
-            f = self.nested(self.imp_expr)
+            if self.depth == MAX_NESTING:
+                _kind, _val, line, col = self.peek()
+                raise ParseError(f"formula nested deeper than {MAX_NESTING} levels",
+                                 line, col)
+            self.depth += 1
+            f = self.imp_expr()
+            self.depth -= 1
             self.expect(")")
             return f
-        if val == "#":
-            self.next()
+        if val == "#" or kind == "name" and val == "false":
             return self.intern.bot()
         if kind == "name":
-            self.next()
-            if val == "false":
-                return self.intern.bot()
             return self.intern.var(val)
         raise ParseError(f"expected a formula, found {val or 'end of input'!r}", line, col)
 

@@ -47,8 +47,8 @@ Before descending into a set ``S`` that has candidates, the walk bounds
 every set below it.  A set ``T`` below holds ``S`` and some candidates, so
 its stable parts hold ``S``'s and its ``cover`` lies inside the ``cover``
 taken over ``S`` and all candidates.  If a stable implication of ``S``
-lies outside that ``cover``, no ``T`` is supported, so none fires and none
-is held back, and the subtree is skipped: nothing in it would insert.
+lies outside that ``cover``, no ``T`` is supported, so none fires, at this
+wave or a later one, and the subtree is skipped: nothing in it would insert.
 Otherwise ``T`` fires only when supported, so every stable implication of
 ``T`` is in its ``cover``.  A candidate's stable part lies in the left
 side of each member of ``S``, so each of its elements is in ``S``'s
@@ -65,13 +65,23 @@ nothing inserted means no backward subsumption, no retired entry and no
 goal sequent, so the database stays as the bound read it and the store
 is the one the full walk would leave.
 
-The minimal-height strategy delays joins: supported sets of join rank
-above the current wave are held back, and fire, if all their members are
-still live, once everything else has saturated and the wave increases.
-So the support bound is exact under it too, while the subsumption bound
-only skips a subtree when no set in it would be held back.  The first
-wave at which a goal sequent appears is then the least possible join
-depth, i.e. the minimal countermodel height.
+The minimal-height strategy delays joins.  A walk that reaches a set of
+join rank above the current wave stops there and defers the set together
+with its candidates: a rank only grows along a walk, so no set below it
+could fire at this wave.  Once everything else has saturated, the wave
+increases, and each deferred set whose members are all still live is
+walked again, over its candidates that are still live, with both bounds
+read against the database as it stands then; a set still above the new
+wave is deferred again.  So every set fires through a walk.  The support
+bound is exact under the strategy too, as an unsupported set fires at no
+wave.  The subsumption bound reads the database now, while a deferred set
+fires later, when a backward-subsumption cascade (which retires consumers
+without a replacement) may have taken away what subsumes its conclusions
+now.  So under the strategy the bound only skips a subtree whose
+candidates all rank below the wave: every set below then ranks at or
+under it and fires in this walk.  The first wave at which a goal sequent
+appears is then the least possible join depth, i.e. the minimal
+countermodel height.
 """
 
 from __future__ import annotations
@@ -412,7 +422,7 @@ class SearchState:
 
         self.members: dict[int, None] = {}  # walked join premises still live, oldest first
         self.retired = 0  # walked join premises retired so far
-        self.blocked: list[JoinCandidateSet] = []
+        self.blocked: list[tuple[JoinCandidateSet, list[int]]] = []  # deferred walks
         self.db.removal_listeners.append(self._on_removed)
 
     # -- insertion ---------------------------------------------------------
@@ -446,6 +456,7 @@ class SearchState:
         if nid in self.members or not (self.u.ps4_mask >> seq.rhs) & 1:
             return
         cs = JoinCandidateSet(self.u, self.store, (nid,))
+        self._counters["candidate_sets"] += 1
         cands = [m for m in self.members if cs.admits(self.store.nodes[m].seq)]
         self.members[nid] = None
         if self.rng is not None:
@@ -457,8 +468,11 @@ class SearchState:
         extends it by some of ``cands``: for each candidate in turn, the
         extension by it and the extensions of that by earlier candidates,
         then ``cs`` itself; skip them all when ``_subsumed`` shows they would
-        insert nothing, and stop once a member of ``cs`` is retired."""
-        self._counters["candidate_sets"] += 1
+        insert nothing, stop once a member of ``cs`` is retired, and defer
+        them all to a later wave when ``cs`` is above the current one."""
+        if self.min_height and cs.needed_rank > self.cap:
+            self.blocked.append((cs, cands))
+            return
         if cands and self._subsumed(cs, cands):
             self._counters["subtrees_skipped"] += 1
             return
@@ -475,6 +489,7 @@ class SearchState:
                     retired = self.retired
                 ext = JoinCandidateSet(self.u, self.store, tuple(sorted(cs.members + (c,))),
                                        cs, c)
+                self._counters["candidate_sets"] += 1
                 self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
         if self._goal is None and (self.retired == retired or self._live(cs)):
             self._fire(cs)
@@ -482,7 +497,7 @@ class SearchState:
     def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
         """Whether no set that extends ``cs`` by some of ``cands``, ``cs``
         included, is supported, or the database subsumes every conclusion of
-        them all and none would be held back (the bounds of the module
+        them all and none would be deferred (the bounds of the module
         docstring)."""
         u = self.u
         nodes = self.store.nodes
@@ -494,8 +509,7 @@ class SearchState:
             cover |= by_ante.get(rhs, 0)
         if cs.sig & u.imp_mask & ~cover:
             return True
-        if self.min_height and (cs.needed_rank > self.cap
-                                or max(nodes[c].rank for c in cands) >= self.cap):
+        if self.min_height and max(nodes[c].rank for c in cands) >= self.cap:
             return False
         bound = cs.sig | cs.theta & (u.var_mask | cover)
         subsumer = self.db._subsumer
@@ -522,9 +536,6 @@ class SearchState:
     def _fire(self, cs: JoinCandidateSet) -> None:
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
-        if self.min_height and cs.needed_rank > self.cap:
-            self.blocked.append(cs)
-            return
         u = self.u
         rank = cs.needed_rank
         if cs.ups_in_ps3:
@@ -630,11 +641,11 @@ class SearchState:
                     if self.rng is not None:
                         self.rng.shuffle(batch)
                     self._added_now = []
-                    for cs in batch:
+                    for cs, cands in batch:
                         if self._goal is not None:
                             break
                         if self._live(cs):
-                            self._fire(cs)
+                            self._walk(cs, [c for c in cands if c in self.members])
                     self.last = self._added_now
                     self._flush_stats()
                     continue

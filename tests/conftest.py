@@ -11,6 +11,16 @@ SCOTT = "((~~p -> p) -> (~p | p)) -> (~~p | ~p)"
 ANTI_SCOTT = "(((~~p -> p) -> (~p | p)) -> (~~p | ~p)) -> ((~~p -> p) | ~~p)"
 KP = "(~a -> (b | c)) -> ((~a -> b) | (~a -> c))"
 VALID_E = "(p & (p -> q1 | q2) & (q1 -> r1 | r2) & (q2 -> r1 | r2)) -> r1 | r2"
+# Valid goals whose proofs close a right implication over a context that
+# already holds its antecedent, which a rule further up consumes: the G3i
+# translation must not add it back into that rule's premises.
+G3I_CONSUMED_ANTECEDENT = [
+    "~~(~(p1 -> p4) -> p2 | p4 | (p4 & p2 & p1 | p3 -> p3))",
+    "~(p2 | (p2 -> p3 | (~p4 | p2))) | p4 & ~p4 -> ~~p4",
+    "~~(~false & p2 -> (p3 -> p3 -> p4) -> p4 | (p1 -> ~p3))",
+    "~(~((p2 | p1 -> p2) | p4) -> ~(p3 -> p3) & p3 | (p2 | false -> p3 | p1))"
+    " -> p4 | false | (p4 | p3) & p2",
+]
 
 
 @pytest.fixture(scope="session")

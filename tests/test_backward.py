@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ipldecide.backward import (AX, LIMP, ROR1, BSearchTrace, BSequent,
                                 InternalInvariantViolation, bsearch,
@@ -10,7 +12,9 @@ from ipldecide.backward import (AX, LIMP, ROR1, BSearchTrace, BSequent,
 from ipldecide.formula import build_universe, parse, to_text
 from ipldecide.search import Database, fsearch
 
-from conftest import ANTI_SCOTT, E_A, E_B, E_C, KP, SCOTT, VALID_E, texts
+from conftest import (ANTI_SCOTT, E_A, E_B, E_C, G3I_CONSUMED_ANTECEDENT, KP, SCOTT,
+                      VALID_E, texts)
+from test_search import _larger_formula
 
 
 def bseq(u, kind, lhs, rhs):
@@ -280,6 +284,30 @@ def test_g3i_translation_adds_antecedent_at_closed_right_implications():
         a = u.pos[u.sf[node.seq.rhs].left.id]
         assert (g3.children[0].psi >> a) & 1
     assert check_g3i(to_g3i(tree), out.universe) is None
+
+
+def _g3i_problem(goal, min_height):
+    """``check_g3i``'s verdict on the certificate of a valid ``goal``."""
+    out = fsearch(goal, min_height=min_height)
+    assert not out.is_proof
+    return check_g3i(to_g3i(bsearch(out.db)), out.universe)
+
+
+@pytest.mark.parametrize("min_height", [False, True])
+@pytest.mark.parametrize("text", G3I_CONSUMED_ANTECEDENT)
+def test_g3i_translation_never_re_adds_a_consumed_antecedent(text, min_height):
+    assert oracle_decide(parse(text))
+    assert _g3i_problem(parse(text), min_height) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@example(566, False)
+@example(589, True)
+def test_g3i_certificates_of_larger_valid_goals_check(seed, min_height):
+    goal = _larger_formula(seed)
+    if oracle_decide(goal):
+        assert _g3i_problem(goal, min_height) is None, to_text(goal)
 
 
 def test_g3i_checker_rejects_corrupted_trees(valid_e_u, e_saturated):

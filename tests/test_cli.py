@@ -10,7 +10,7 @@ import pytest
 import ipldecide
 from ipldecide.cli import main
 
-from conftest import KP, SCOTT, VALID_E
+from conftest import G3I_CONSUMED_ANTECEDENT, KP, SCOTT, VALID_E
 
 
 def run(capsys, *argv):
@@ -25,6 +25,14 @@ def test_decide_valid_formula(tmp_path, capsys):
     code, out, _ = run(capsys, "decide", str(src))
     assert code == 0
     assert out.startswith("valid")
+
+
+def test_decide_certifies_goals_that_consume_a_closed_antecedent(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("".join(text + "\n" for text in G3I_CONSUMED_ANTECEDENT[:2]))
+    code, out, err = run(capsys, "decide", str(src))
+    assert code == 0 and err == ""
+    assert [line.split()[0] for line in out.splitlines()] == ["valid", "valid"]
 
 
 def test_decide_non_valid_formula_reports_model(tmp_path, capsys):
@@ -55,9 +63,11 @@ def test_decide_batch_with_bad_lines_decides_the_rest(tmp_path, capsys):
 
 
 def test_deep_nesting_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
-    # Parentheses, negations and right-nested implications each nested 600
-    # deep, every one followed by a valid line.
-    deep = ["(" * 600 + "p" + ")" * 600, "~" * 600 + "p", "p -> " * 600 + "p"]
+    # Parentheses nested 600 deep, and 3,000 negations and right-nested
+    # implications, every one followed by a valid line.  A parenthesis is
+    # rejected 101 deep; a negation or an implication where it makes the
+    # formula 101 high.
+    deep = ["(" * 600 + "p" + ")" * 600, "~" * 3000 + "p", "p -> " * 3000 + "p"]
     src = tmp_path / "f.txt"
     src.write_text("".join(line + "\np -> p\n" for line in deep))
     for command in ("decide", "audit"):
@@ -65,7 +75,7 @@ def test_deep_nesting_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
         assert code == 2
         assert err.splitlines() == [
             f"parse error: line {n}: formula nested deeper than 100 levels at column {c}"
-            for n, c in ((1, 102), (3, 102), (5, 506))]
+            for n, c in ((1, 102), (3, 2900), (5, 5 * 2899 + 3))]
         decided = [line for line in out.splitlines() if not line.startswith(" ")]
         assert [line.split(None, 1)[1] for line in decided] == ["p -> p"] * 3
 

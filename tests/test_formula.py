@@ -74,6 +74,15 @@ def test_chains_are_capped_by_height_not_by_length():
     assert parse(" & ".join([inner] + ["q"] * 40)).height == 99
 
 
+def test_parenthesised_nesting_counts_once():
+    # 51 right-nested implications and 55 negations, each level in its own
+    # parentheses, are 51 and 55 high and parse.
+    imps = "(" + " -> (".join(f"q{i}" for i in range(51)) + " -> p" + ")" * 51
+    assert parse(imps).height == 51
+    assert parse("~(" * 55 + "p" + ")" * 55).height == 55
+    assert parse("~" * 100 + "p").height == parse("p -> " * 100 + "p").height == 100
+
+
 def test_hash_consing_gives_equal_ids():
     a = parse("p & (q -> r)")
     b = F.conj(F.var("p"), F.imp(F.var("q"), F.var("r")))

@@ -9,7 +9,7 @@ from ipldecide import countermodel, search
 from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse, to_text
 from ipldecide.generate import nishimura, random_formula, random_formulas
-from ipldecide.kripke import height
+from ipldecide.kripke import check_countermodel, height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
 from ipldecide.search import (AX_IRR, Database, InsertResult,
                               IterationBudgetExceeded, JoinCandidateSet,
@@ -474,6 +474,12 @@ class StoredSetSearchState(SearchState):
                 if key in self.sets:
                     self._fire(self.sets[key])
 
+    def _fire(self, cs):
+        if cs.supported and self.min_height and cs.needed_rank > self.cap:
+            self.blocked.append(cs)
+        else:
+            super()._fire(cs)
+
     def run(self, max_iterations=None):
         self.insert_axioms()
         while self._goal is None:
@@ -536,16 +542,17 @@ class FullWalkSearchState(SearchState):
 
 
 def _join_trace(state_class, goal, min_height):
-    """Every set fired or held back, with its parts and rank, and both dumps,
-    after the axioms, each step and each minimal-height wave."""
+    """Every set that fires, with its parts and rank, and both dumps, after
+    the axioms, each step and each minimal-height wave."""
     state = state_class(build_universe(goal), min_height=min_height)
     snapshots = []
     fired = []
     fire, flush = state._fire, state._flush_stats
 
     def record(cs):
-        fired.append((cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
-                      cs.ups_in_ps3, cs.needed_rank))
+        if cs.supported and not (min_height and cs.needed_rank > state.cap):
+            fired.append((cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
+                          cs.ups_in_ps3, cs.needed_rank))
         fire(cs)
 
     def snapshot():
@@ -610,13 +617,13 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     assert sum(fast[-1] for fast in pruned) < sum(slow[-1] for slow in full)
 
 
-def _sets_built_to_refute(monkeypatch, text):
-    """The candidate sets built to refute ``text``, as the stats rows count
+def _sets_built_to_refute(monkeypatch, goal, min_height=False):
+    """The candidate sets built to refute ``goal``, as the stats rows count
     them and as constructed."""
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    out = fsearch(parse(text), collect_stats=True)
+    out = fsearch(goal, min_height=min_height, collect_stats=True)
     assert out.is_proof
     return sum(row["candidate_sets"] for row in out.stats), len(built)
 
@@ -624,15 +631,69 @@ def _sets_built_to_refute(monkeypatch, text):
 def test_equal_disjuncts_build_few_candidate_sets(monkeypatch):
     # 16 disjuncts p: the stored sets were every non-empty subset of the 15
     # disjunctions' right sides, 32,767; the bound skips almost all of them.
-    counted, built = _sets_built_to_refute(monkeypatch, " | ".join(["p"] * 16))
+    counted, built = _sets_built_to_refute(monkeypatch, parse(" | ".join(["p"] * 16)))
     assert counted == built <= 200
 
 
 def test_nested_negations_build_few_candidate_sets(monkeypatch):
     # 34 negations of p: the full walk builds 2^17 - 1 sets, nearly all of
     # them unsupported; the support bound skips every such subtree.
-    counted, built = _sets_built_to_refute(monkeypatch, "~" * 34 + "p")
+    counted, built = _sets_built_to_refute(monkeypatch, parse("~" * 34 + "p"))
     assert counted == built <= 1000
+
+
+def test_minimal_height_ladder_builds_few_candidate_sets(monkeypatch):
+    # Ladder 19 under min_height: holding back every set above the wave one
+    # by one built 284,052 sets; deferring whole subtrees builds a few
+    # hundred.
+    counted, built = _sets_built_to_refute(monkeypatch, nishimura(19), min_height=True)
+    assert counted == built <= 1000
+
+
+def test_stats_rows_count_each_set_built_once(monkeypatch):
+    # A deferred set is counted in the row of the iteration that built it,
+    # not again at the waves that walk it, nor dropped when a member dies
+    # before its wave comes.
+    built = []
+    monkeypatch.setattr(search, "JoinCandidateSet",
+                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    goals = [nishimura(i) for i in range(1, 17)] + random_formulas(2027, 4, 28, 100)
+    for goal in goals:
+        for min_height in (False, True):
+            built.clear()
+            out = fsearch(goal, min_height=min_height, collect_stats=True)
+            assert sum(row["candidate_sets"] for row in out.stats) == len(built), \
+                (to_text(goal), min_height)
+
+
+def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
+    # On these goals a member of a set deferred to a later wave is retired
+    # before the wave comes; neither that set nor any extension of it fires.
+    fire = SearchState._fire
+
+    def live_only(self, cs):
+        assert self._live(cs), cs.members
+        fire(self, cs)
+
+    monkeypatch.setattr(SearchState, "_fire", live_only)
+    for text in ("(p2 & p4 -> p1) | p2 | ~~(p3 & p3)",
+                 "~(~p1 | p2 | p1) & ~(p1 -> p1 & p3) -> p1 | p1 & p3",
+                 "(~(p2 & p3) -> p3 -> p3) -> p3 | (~(p1 -> p3) -> ~~~p4) | p1"):
+        fsearch(parse(text), min_height=True)
+
+
+# Minimal countermodel heights of nishimura(1..18).
+LADDER_HEIGHTS = (0, 0, 1, 0, 1, 1, 2, 1, 2, 2, 3, 2, 3, 3, 4, 3, 4, 4)
+
+
+def test_minimal_height_ladders_keep_their_heights_and_check():
+    for i in range(1, 31):
+        goal = nishimura(i)
+        out = fsearch(goal, min_height=True)
+        model = extract_model(out.store, out.root).model
+        assert check_countermodel(model, goal), i
+        if i <= len(LADDER_HEIGHTS):
+            assert height(model) == LADDER_HEIGHTS[i - 1], i
 
 
 def _walk_trace(state_class, goal, min_height):
