@@ -8,12 +8,15 @@ that does not parse is reported on stderr and the other lines are still
 decided.  Every certificate is re-verified before it is printed; an
 unverifiable certificate is a bug, reported on stderr and as ``error`` for
 its line, and the other lines are still decided before the batch exits 3.
+Every command exits 2, without a traceback, when standard output is
+closed before everything is written (say, by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -280,7 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone.  Point stdout at devnull, as the
+        # Python docs advise, so the interpreter's last flush fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

@@ -376,28 +376,33 @@ class GoalUniverse:
         self.gimp = self.sfl & imp_mask
         self.gbar = self.gat | self.gimp
 
-        # Rule targets, all restricted to right subformulas.
+        # Rule targets, all restricted to right subformulas, and the
+        # connectives in closure order.
         self.and_targets: dict[int, tuple[int, ...]] = {}
         self.or_targets: list[tuple[int, int, int]] = []
         self.imp_targets: dict[int, tuple[int, ...]] = {}
         self.ante: dict[int, int] = {}
         and_t: dict[int, list[int]] = {}
         imp_t: dict[int, list[tuple[int, int]]] = {}
+        connectives = []
         for i, f in enumerate(self.sf):
+            if f.kind in (VAR, BOT):
+                continue
+            lp, rp = self.pos[f.left.id], self.pos[f.right.id]
+            connectives.append((1 << i, f.kind, 1 << lp, 1 << rp))
             if f.kind == IMP:
-                self.ante[i] = self.pos[f.left.id]
+                self.ante[i] = lp
             if not (self.sfr >> i) & 1:
                 continue
             if f.kind == AND:
-                lp, rp = self.pos[f.left.id], self.pos[f.right.id]
                 and_t.setdefault(lp, []).append(i)
                 if rp != lp:
                     and_t.setdefault(rp, []).append(i)
             elif f.kind == OR:
-                self.or_targets.append((i, self.pos[f.left.id], self.pos[f.right.id]))
-            elif f.kind == IMP:
-                bp, ap = self.pos[f.right.id], self.pos[f.left.id]
-                imp_t.setdefault(bp, []).append((i, ap))
+                self.or_targets.append((i, lp, rp))
+            else:
+                imp_t.setdefault(rp, []).append((i, lp))
+        self._connectives = tuple(connectives)
         self.and_targets = {k: tuple(v) for k, v in and_t.items()}
         self.imp_targets = {k: tuple(v) for k, v in imp_t.items()}
 
@@ -463,26 +468,20 @@ class GoalUniverse:
         A subformula is in the closure of ``mask`` iff it is in ``mask``, or
         it is a conjunction with both conjuncts in, a disjunction with one
         disjunct in, or an implication with its consequent in.  Children
-        precede parents in ``sf``, so one pass reaches the fixpoint.
+        precede parents in ``sf``, so one pass over ``_connectives`` (each
+        connective's bit, kind and operand bits, built once per universe)
+        reaches the fixpoint.  Memoised per mask.
         """
         cached = self._closure_cache.get(mask)
         if cached is not None:
             return cached
-        cl = 0
-        for i, f in enumerate(self.sf):
-            if (mask >> i) & 1:
-                cl |= 1 << i
-            elif f.kind == AND:
-                lp, rp = self.pos[f.left.id], self.pos[f.right.id]
-                if (cl >> lp) & 1 and (cl >> rp) & 1:
-                    cl |= 1 << i
-            elif f.kind == OR:
-                lp, rp = self.pos[f.left.id], self.pos[f.right.id]
-                if (cl >> lp) & 1 or (cl >> rp) & 1:
-                    cl |= 1 << i
-            elif f.kind == IMP:
-                if (cl >> self.pos[f.right.id]) & 1:
-                    cl |= 1 << i
+        cl = mask & self.full_mask
+        for bit, kind, left, right in self._connectives:
+            if kind == AND:
+                if cl & left and cl & right:
+                    cl |= bit
+            elif cl & right or kind == OR and cl & left:  # IMP needs its right
+                cl |= bit
         self._closure_cache[mask] = cl
         return cl
 

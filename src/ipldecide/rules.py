@@ -31,9 +31,11 @@ class NotApplicable(ValueError):
 
 
 class Sequent:
-    """A canonical sequent; equal content gives equal (hashable) values."""
+    """A canonical sequent; equal content gives equal (hashable) values.
+    The hash is computed when asked for: the search builds many sequents
+    and hashes few of them."""
 
-    __slots__ = ("u", "regular", "gamma", "sigma", "theta", "rhs", "_hash")
+    __slots__ = ("u", "regular", "gamma", "sigma", "theta", "rhs")
 
     def __init__(self, u: GoalUniverse, regular: bool, gamma: int, sigma: int,
                  theta: int, rhs: int):
@@ -43,7 +45,6 @@ class Sequent:
         self.sigma = sigma
         self.theta = theta
         self.rhs = rhs
-        self._hash = hash((regular, gamma, sigma, theta, rhs))
 
     @property
     def lhs(self) -> int:
@@ -58,7 +59,7 @@ class Sequent:
                 and self.key == other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"<{self.render()}>"

@@ -21,7 +21,13 @@ losable part holding its own.  So the database keeps one bucket per
 ``(True, rhs)`` and per ``(False, rhs, sigma)``, and grades each bucket by
 the size of that mask.  Forward subsumption looks up the exact mask and
 scans only the larger grades; backward subsumption scans only the smaller
-ones.
+ones.  Within a bucket, mask inclusion is subsumption, so the forward query
+runs on a bucket key and a mask; storing is that query plus one store tail.
+A join conclusion and the regular sequents the walk bounds below query are
+given as masks, and a ``Sequent`` is built only for a conclusion that is
+stored, or to confirm an index hit with ``subsumes``.  The closure of a
+regular premise's left side is computed only when an implication rule has
+the premise's right side as consequent: no other rule reads it.
 
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
@@ -181,7 +187,7 @@ class DerivationStore:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class InsertResult:
     status: str                      # "added" | "forward-subsumed" | "backward-replaced"
     node: Optional[int] = None
@@ -198,6 +204,14 @@ def _index_key(seq: Sequent) -> tuple[tuple, int]:
     if seq.regular:
         return (True, seq.rhs), seq.gamma
     return (False, seq.rhs, seq.sigma), seq.theta
+
+
+def _sequent_at(u: GoalUniverse, key: tuple, mask: int) -> Sequent:
+    """The sequent of bucket ``key`` with mask ``mask`` (:func:`_index_key`
+    inverted)."""
+    if key[0]:
+        return Sequent(u, True, mask, 0, 0, key[1])
+    return Sequent(u, False, 0, key[2], mask, key[1])
 
 
 class Database:
@@ -232,12 +246,25 @@ class Database:
     def irregular_entries(self) -> list[int]:
         return [n for n in sorted(self.entries) if not self.store.nodes[n].seq.regular]
 
-    def _link(self, nid: int, seq: Sequent) -> None:
-        """Make ``nid`` (holding ``seq``) live."""
+    def _link(self, nid: int, rhs: int, key: tuple, mask: int) -> dict[int, dict[int, int]]:
+        """Make ``nid`` live, with right side ``rhs``, in bucket ``key``
+        under ``mask``; returns the bucket."""
         self.entries.add(nid)
-        self.by_rhs.setdefault(seq.rhs, set()).add(nid)
-        key, mask = _index_key(seq)
-        self._index.setdefault(key, {}).setdefault(mask.bit_count(), {})[mask] = nid
+        same_rhs = self.by_rhs.get(rhs)
+        if same_rhs is None:
+            self.by_rhs[rhs] = {nid}
+        else:
+            same_rhs.add(nid)
+        grades = self._index.get(key)
+        if grades is None:
+            grades = self._index[key] = {}
+        k = mask.bit_count()
+        group = grades.get(k)
+        if group is None:
+            grades[k] = {mask: nid}
+        else:
+            group[mask] = nid
+        return grades
 
     def _unlink(self, nid: int) -> None:
         seq = self.store.nodes[nid].seq
@@ -246,65 +273,62 @@ class Database:
         key, mask = _index_key(seq)
         del self._index[key][mask.bit_count()][mask]
 
-    def _subsumer(self, seq: Sequent) -> Optional[int]:
-        """An entry subsuming ``seq``, one with a strictly larger mask if
-        any: an entry of the database gets itself back exactly when no other
-        entry subsumes it."""
-        key, mask = _index_key(seq)
-        grades = self._index.get(key)
-        return self._scan_up(grades, seq, mask, mask.bit_count()) if grades else None
+    def _subsumer(self, key: tuple, mask: int, seq: Sequent | None = None,
+                  ) -> Optional[int]:
+        """An entry subsuming the sequent of bucket ``key`` and mask
+        ``mask``, one with a strictly larger mask if any: an entry of the
+        database gets itself back exactly when no other entry subsumes it.
 
-    def _scan_up(self, grades: dict[int, dict[int, int]], seq: Sequent, mask: int,
-                 k: int) -> Optional[int]:
-        """:meth:`_subsumer` within the bucket ``grades`` of ``seq``, whose
-        mask ``mask`` has ``k`` elements."""
-        nodes = self.store.nodes
+        The index finds the entry on masks alone, since within a bucket mask
+        inclusion is subsumption; ``subsumes`` confirms the hit, on ``seq``,
+        or on the sequent built from ``key`` and ``mask`` when ``seq`` is
+        None, so a query that finds nothing builds no sequent."""
+        grades = self._index.get(key)
+        if not grades:
+            return None
+        k = mask.bit_count()
         for size, group in grades.items():
             if size > k:
-                for m, e in group.items():
-                    if not mask & ~m and subsumes(seq, nodes[e].seq):
-                        return e
+                for m in group:
+                    if m & mask == mask:
+                        return self._confirmed(group[m], key, mask, seq)
         group = grades.get(k)
         e = group.get(mask) if group is not None else None
-        return e if e is not None and subsumes(seq, nodes[e].seq) else None
+        return None if e is None else self._confirmed(e, key, mask, seq)
+
+    def _confirmed(self, e: int, key: tuple, mask: int, seq: Sequent | None,
+                   ) -> Optional[int]:
+        if seq is None:
+            seq = _sequent_at(self.u, key, mask)
+        return e if subsumes(seq, self.store.nodes[e].seq) else None
 
     def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
                iteration: int = 0, rank: int = 0) -> InsertResult:
-        """Forward subsumption check, then store; in compact mode also retire
-        every strictly subsumed entry together with its stored consequences."""
-        rhs = seq.rhs
-        if seq.regular:
-            key, mask = (True, rhs), seq.gamma
-        else:
-            key, mask = (False, rhs, seq.sigma), seq.theta
-        k = mask.bit_count()
-        grades = self._index.get(key)
-        if grades is None:
-            grades = self._index[key] = {}
-        else:
-            e = self._scan_up(grades, seq, mask, k)
-            if e is not None:
-                return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
+        """Forward subsumption check (:meth:`_subsumer`), then store
+        (:meth:`_store`)."""
+        key, mask = _index_key(seq)
+        e = self._subsumer(key, mask, seq)
+        if e is not None:
+            return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
+        return self._store(seq, key, mask, rule, premises, iteration, rank)
+
+    def _store(self, seq: Sequent, key: tuple, mask: int, rule: str,
+               premises: tuple[int, ...], iteration: int, rank: int) -> InsertResult:
+        """Store ``seq``, of bucket ``key`` and mask ``mask``, which no entry
+        subsumes, and make it live; in compact mode also retire every
+        strictly subsumed entry together with its stored consequences."""
         nid, _created = self.store.add(seq, rule, premises, iteration, rank)
-        self.entries.add(nid)
-        same_rhs = self.by_rhs.get(rhs)
-        if same_rhs is None:
-            self.by_rhs[rhs] = {nid}
-        else:
-            same_rhs.add(nid)
-        group = grades.get(k)
-        if group is None:
-            grades[k] = {mask: nid}
-        else:
-            group[mask] = nid
+        grades = self._link(nid, seq.rhs, key, mask)
         doomed = []
         if self.compact_mode:
+            k = mask.bit_count()
+            outside = ~mask
             nodes = self.store.nodes
             for size, group in grades.items():
                 if size < k:
-                    for m, e in group.items():
-                        if not m & ~mask and subsumes(nodes[e].seq, seq):
-                            doomed.append(e)
+                    for m in group:
+                        if not m & outside and subsumes(nodes[group[m]].seq, seq):
+                            doomed.append(group[m])
         if not doomed:
             return InsertResult(InsertResult.ADDED, node=nid)
         doomed.sort()
@@ -348,8 +372,9 @@ def minimum_compact(db: Database) -> Database:
     out = Database(db.u, db.store, compact_mode=db.compact_mode)
     for nid in db.entries:
         seq = db.store.nodes[nid].seq
-        if db._subsumer(seq) == nid:
-            out._link(nid, seq)
+        key, mask = _index_key(seq)
+        if db._subsumer(key, mask, seq) == nid:
+            out._link(nid, seq.rhs, key, mask)
     return out
 
 
@@ -429,11 +454,21 @@ class SearchState:
 
     def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...],
                 rank: int) -> None:
+        key, mask = _index_key(seq)
+        self._insert_at(key, mask, seq, rule, premises, rank)
+
+    def _insert_at(self, key: tuple, mask: int, seq: Sequent | None, rule: str,
+                   premises: tuple[int, ...], rank: int) -> None:
+        """Insert the conclusion of bucket ``key`` and mask ``mask``;
+        ``seq`` is that sequent, or None to build it only if it is stored."""
         self._counters["generated"] += 1
-        res = self.db.insert(seq, rule, premises, self.iteration, rank)
-        if res.status == InsertResult.FORWARD_SUBSUMED:
+        db = self.db
+        if db._subsumer(key, mask, seq) is not None:
             self._counters["forward_subsumed"] += 1
             return
+        if seq is None:
+            seq = _sequent_at(self.u, key, mask)
+        res = db._store(seq, key, mask, rule, premises, self.iteration, rank)
         self._counters["backward_removed"] += len(res.removed)
         self._added_now.append(res.node)
         if seq.regular and seq.rhs == self.u.goal_pos:
@@ -515,12 +550,10 @@ class SearchState:
         subsumer = self.db._subsumer
         if cs.ups_in_ps3:
             for f in u.prime_rhs:
-                if (not (cs.sig >> f) & 1
-                        and subsumer(Sequent(u, True, bound & ~(1 << f), 0, 0, f)) is None):
+                if not (cs.sig >> f) & 1 and subsumer((True, f), bound & ~(1 << f)) is None:
                     return False
         for t, c1, c2 in u.or_targets:
-            if ((ups >> c1) & 1 and (ups >> c2) & 1
-                    and subsumer(Sequent(u, True, bound, 0, 0, t)) is None):
+            if (ups >> c1) & 1 and (ups >> c2) & 1 and subsumer((True, t), bound) is None:
                 return False
         return True
 
@@ -541,13 +574,13 @@ class SearchState:
         if cs.ups_in_ps3:
             for f in u.prime_rhs:
                 if not (cs.sig >> f) & 1:
-                    self._insert(Sequent(u, True, cs.at_gamma(f), 0, 0, f), JOIN_AT,
-                                 cs.members, rank)
+                    self._insert_at((True, f), cs.at_gamma(f), None, JOIN_AT, cs.members,
+                                    rank)
         gamma_or = cs.or_gamma()
         ups = cs.up_mask
         for t, c1, c2 in u.or_targets:
             if (ups >> c1) & 1 and (ups >> c2) & 1:
-                self._insert(Sequent(u, True, gamma_or, 0, 0, t), JOIN_OR, cs.members, rank)
+                self._insert_at((True, t), gamma_or, None, JOIN_OR, cs.members, rank)
 
     # -- one iteration -------------------------------------------------------
 
@@ -586,8 +619,11 @@ class SearchState:
         seq = node.seq
         for t in u.and_targets.get(seq.rhs, ()):
             self._insert(retarget(seq, t), RULE_AND, (sid,), node.rank)
-        cl = u.closure(seq.gamma)
-        for t, a in u.imp_targets.get(seq.rhs, ()):
+        imps = u.imp_targets.get(seq.rhs)
+        if not imps:
+            return
+        cl = u.closure(seq.gamma)  # only the implication rules read it
+        for t, a in imps:
             if not (cl >> a) & 1:
                 continue
             self._insert(retarget(seq, t), RULE_IMP_IN, (sid,), node.rank)

@@ -180,6 +180,26 @@ def test_module_runs_the_command_line_from_a_checkout():
     assert done.stdout.startswith("valid")
 
 
+@pytest.mark.parametrize("flags", [["--format", "structured", "--stats"],
+                                   ["--db-dump", "-"]])
+def test_closed_stdout_exits_2_without_a_traceback(flags):
+    src = Path(ipldecide.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import subprocess, sys\n"
+         "p = subprocess.Popen(sys.argv[1:], stdin=subprocess.PIPE,\n"
+         "                     stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+         "p.stdout.close()  # the reader is gone before anything is written\n"
+         "_out, err = p.communicate(sys.stdin.read().encode())\n"
+         "sys.stderr.write(err.decode())\n"
+         "sys.exit(p.returncode)\n",
+         sys.executable, "-m", "ipldecide", "decide", "-", *flags],
+        input=f"{VALID_E}\n" * 3, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+
+
 def test_output_files_hold_every_formula_in_input_order(tmp_path, capsys):
     # Each named file is truncated once per run and then gets what "-"
     # prints on stdout, verdict lines aside.

@@ -198,6 +198,38 @@ def _closure_oracle(u, mask):
     return cl
 
 
+def reference_closure(u, mask):
+    """``GoalUniverse.closure`` before its table of connectives: one pass
+    over every position, looking up the operands' positions (the reference)."""
+    cl = 0
+    for i, f in enumerate(u.sf):
+        if (mask >> i) & 1:
+            cl |= 1 << i
+        elif f.kind == F.AND:
+            lp, rp = u.pos[f.left.id], u.pos[f.right.id]
+            if (cl >> lp) & 1 and (cl >> rp) & 1:
+                cl |= 1 << i
+        elif f.kind == F.OR:
+            lp, rp = u.pos[f.left.id], u.pos[f.right.id]
+            if (cl >> lp) & 1 or (cl >> rp) & 1:
+                cl |= 1 << i
+        elif f.kind == F.IMP:
+            if (cl >> u.pos[f.right.id]) & 1:
+                cl |= 1 << i
+    return cl
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_closure_matches_the_per_position_reference(data):
+    u = build_universe(data.draw(formulas(max_leaves=12)))
+    # Masks may hold bits past the universe, which neither closure keeps.
+    for mask in data.draw(st.lists(st.integers(0, (1 << (u.n + 2)) - 1), max_size=8)):
+        assert u.closure(mask) == reference_closure(u, mask)
+    for mask in data.draw(st.lists(st.integers(0, u.gbar), max_size=8)):
+        assert u.closure(mask & u.gbar) == reference_closure(u, mask & u.gbar)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_closure_properties(data):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ipldecide import countermodel, search
 from ipldecide.countermodel import derivation_from_model, extract_model
-from ipldecide.formula import build_universe, iter_bits, parse, to_text
+from ipldecide.formula import GoalUniverse, build_universe, iter_bits, parse, to_text
 from ipldecide.generate import nishimura, random_formula, random_formulas
 from ipldecide.kripke import check_countermodel, height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
@@ -133,8 +133,8 @@ def test_step_with_no_new_premises_is_empty(scott_u):
 
 def is_saturated_against(db, oracle_db):
     """Every entry of ``oracle_db`` is subsumed by some entry of ``db``."""
-    return all(db._subsumer(oracle_db.store.nodes[nid].seq) is not None
-               for nid in oracle_db.entries)
+    seqs = (oracle_db.store.nodes[nid].seq for nid in oracle_db.entries)
+    return all(db._subsumer(*search._index_key(s), s) is not None for s in seqs)
 
 
 def test_minimum_compact_is_idempotent_and_minimal(valid_e_u):
@@ -293,11 +293,24 @@ def test_telemetry_hooks_are_called_through_the_search_module(monkeypatch):
         assert min(counts.values()) > 0, counts
 
 
+def test_closures_are_computed_only_for_implication_rules(monkeypatch):
+    # Only the implication rules read the closure of a regular premise's
+    # left side; chain 10 has 768 premises with an implication target and
+    # once computed every closure for all 3,081 new regular premises.
+    calls = []
+    closure = GoalUniverse.closure
+    monkeypatch.setattr(GoalUniverse, "closure",
+                        lambda u, mask: calls.append(mask) or closure(u, mask))
+    assert not fsearch(_chain(10)).is_proof
+    assert 0 < len(calls) <= 800
+
+
 # -- subsumption index against the linear scan ------------------------------------
 
 class LinearScanDatabase(Database):
-    """``Database`` before the subsumption index: both subsumption checks
-    scan every entry with the same right side (the reference)."""
+    """``Database`` before the subsumption index: the forward query and the
+    backward check of the store tail scan every entry with the same right
+    side (the reference)."""
 
     def find_goal(self):
         hits = [n for n in self.by_rhs.get(self.u.goal_pos, ())
@@ -308,12 +321,16 @@ class LinearScanDatabase(Database):
         self.entries.discard(nid)
         self.by_rhs.get(self.store.nodes[nid].seq.rhs, set()).discard(nid)
 
-    def insert(self, seq, rule, premises=(), iteration=0, rank=0):
+    def _subsumer(self, key, mask, seq=None):
+        if seq is None:
+            seq = search._sequent_at(self.u, key, mask)
+        for e in self.by_rhs.get(seq.rhs, ()):
+            if subsumes(seq, self.store.nodes[e].seq):
+                return e
+        return None
+
+    def _store(self, seq, key, mask, rule, premises, iteration, rank):
         same_rhs = self.by_rhs.get(seq.rhs)
-        if same_rhs:
-            for e in same_rhs:
-                if subsumes(seq, self.store.nodes[e].seq):
-                    return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
         nid, _created = self.store.add(seq, rule, premises, iteration, rank)
         self.entries.add(nid)
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
@@ -370,13 +387,18 @@ def _index_sequent(regular, rhs, sigma, bits):
                    mask & ~(1 << _INDEX_LEFT[0]) if sigma else mask, _INDEX_RHS[rhs])
 
 
+_mask_queries = st.lists(st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 1),
+                                   st.integers(0, 15)), max_size=6)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.booleans(), _insert_ops)
+@given(st.booleans(), _insert_ops, _mask_queries)
 # The size-2 grade precedes the size-1 grade in the bucket, so the last
 # insert finds node 2 before node 1; both are retired in node order.
 @example(True, [(True, 0, 0, 0b0011, []), (True, 0, 0, 0b1000, []),
-                (True, 0, 0, 0b0101, []), (True, 0, 0, 0b1101, [])])
-def test_subsumption_index_matches_the_linear_scan(compact_mode, ops):
+                (True, 0, 0, 0b0101, []), (True, 0, 0, 0b1101, [])],
+         [(True, 0, 0, 0b0001), (True, 0, 0, 0b0110)])
+def test_subsumption_index_matches_the_linear_scan(compact_mode, ops, queries):
     dbs = [Database(_INDEX_U, compact_mode=compact_mode),
            LinearScanDatabase(_INDEX_U, compact_mode=compact_mode)]
     calls = [[], []]
@@ -391,6 +413,16 @@ def test_subsumption_index_matches_the_linear_scan(compact_mode, ops):
         assert calls[0] == calls[1]
         assert dbs[0].entries == dbs[1].entries
         assert dbs[0].dump(annotated=True) == dbs[1].dump(annotated=True)
+        # The mask query, with no sequent built by the caller, finds a
+        # subsumer exactly when the linear scan does.
+        for query in queries:
+            q = _index_sequent(*query)
+            key, mask = search._index_key(q)
+            hit, ref = dbs[0]._subsumer(key, mask), dbs[1]._subsumer(key, mask)
+            assert (hit is None) == (ref is None)
+            assert hit == dbs[0]._subsumer(key, mask, q)
+            if hit is not None:
+                assert hit in dbs[0].entries and subsumes(q, dbs[0].store.nodes[hit].seq)
     assert (minimum_compact(dbs[0]).dump(annotated=True)
             == linear_minimum_compact(dbs[1]).dump(annotated=True))
 
