@@ -154,10 +154,9 @@ class BSearchTrace:
     backtracks: int = 0
 
 
-def bsearch(db: Database, goal: Formula | GoalUniverse | None = None,
-            trace: BSearchTrace | None = None) -> BNode:
-    """Reconstruct a backward derivation of the goal from a saturated
-    database, with zero backtracking.
+def bsearch(db: Database, trace: BSearchTrace | None = None) -> BNode:
+    """Reconstruct a backward derivation of the database's goal from the
+    saturated database, with zero backtracking.
 
     Invertible rules are applied eagerly in a fixed order; at critical
     sequents the branch whose subgoal the database does NOT evaluate is the
@@ -165,10 +164,7 @@ def bsearch(db: Database, goal: Formula | GoalUniverse | None = None,
     such a branch exists.  Raises :class:`InternalInvariantViolation` if it
     does not, which would signal a non-saturated database.
     """
-    u = db.u if goal is None else (
-        goal if isinstance(goal, GoalUniverse) else build_universe(goal))
-    root = BSequent(u, True, 0, u.goal_pos)
-    return bsearch_from(db, root, trace)
+    return bsearch_from(db, BSequent(db.u, True, 0, db.u.goal_pos), trace)
 
 
 def bsearch_from(db: Database, tau: BSequent,
@@ -189,25 +185,16 @@ def _bsearch(db: Database, tau: BSequent, trace: BSearchTrace) -> BNode:
     if not critical(tau):
         return _invertible_step(db, tau, trace)
 
+    # Commit to the first branch whose irregular subgoal the database
+    # refutes: the left implications of a regular sequent (by antecedent
+    # position), then the right disjuncts.
     f = u.sf[tau.rhs]
-    if not tau.regular:
-        # Irregular disjunction: commit to a disjunct the database refutes.
-        for rule, k in ((ROR1, u.pos[f.left.id]), (ROR2, u.pos[f.right.id])):
-            sub = BSequent(u, False, tau.psi, k)
-            if not evaluate(db, sub):
-                trace.critical_choices.append((tau, rule, None))
-                return BNode(tau, rule, (_bsearch(db, sub, trace),))
-        raise InternalInvariantViolation(f"no refuted disjunct at {tau.render()}")
-
-    # Regular critical: left implications first (by antecedent position),
-    # then the right disjuncts.
     choices: list[tuple[str, int, Optional[int]]] = []
-    imps = sorted(iter_bits(tau.psi & u.imp_mask), key=lambda i: (u.ante[i], i))
-    for i in imps:
-        choices.append((LIMP, u.ante[i], i))
+    if tau.regular:
+        imps = sorted(iter_bits(tau.psi & u.imp_mask), key=lambda i: (u.ante[i], i))
+        choices += [(LIMP, u.ante[i], i) for i in imps]
     if f.kind == OR:
-        choices.append((ROR1, u.pos[f.left.id], None))
-        choices.append((ROR2, u.pos[f.right.id], None))
+        choices += [(ROR1, u.pos[f.left.id], None), (ROR2, u.pos[f.right.id], None)]
     for rule, z, principal in choices:
         sub = BSequent(u, False, tau.psi, z)
         if evaluate(db, sub):
@@ -224,46 +211,41 @@ def _bsearch(db: Database, tau: BSequent, trace: BSearchTrace) -> BNode:
 
 
 def _invertible_step(db: Database, tau: BSequent, trace: BSearchTrace) -> BNode:
+    """The first invertible rule that applies: a left conjunction, a right
+    conjunction, a left disjunction, a right implication; the left rules
+    apply to regular sequents only."""
     u = tau.u
     f = u.sf[tau.rhs]
-    if tau.regular:
-        for i in iter_bits(tau.psi):
-            g = u.sf[i]
-            if g.kind == AND:
-                psi = (tau.psi & ~(1 << i)) | (1 << u.pos[g.left.id]) | (1 << u.pos[g.right.id])
-                child = _bsearch(db, BSequent(u, True, psi, tau.rhs), trace)
-                return BNode(tau, LAND, (child,), i)
-        if f.kind == AND:
-            kids = tuple(_bsearch(db, BSequent(u, True, tau.psi, u.pos[c.id]), trace)
-                         for c in (f.left, f.right))
-            return BNode(tau, RAND, kids)
-        for i in iter_bits(tau.psi):
-            g = u.sf[i]
-            if g.kind == OR:
-                base = tau.psi & ~(1 << i)
-                kids = tuple(
-                    _bsearch(db, BSequent(u, True, base | (1 << u.pos[c.id]), tau.rhs),
-                             trace)
-                    for c in (g.left, g.right))
-                return BNode(tau, LOR, kids, i)
-        if f.kind == IMP:
-            return _right_imp(db, tau, trace, regular=True)
-    else:
-        if f.kind == AND:
-            kids = tuple(_bsearch(db, BSequent(u, False, tau.psi, u.pos[c.id]), trace)
-                         for c in (f.left, f.right))
-            return BNode(tau, RAND, kids)
-        if f.kind == IMP:
-            return _right_imp(db, tau, trace, regular=False)
+    left = tau.psi if tau.regular else 0
+    for i in iter_bits(left):
+        g = u.sf[i]
+        if g.kind == AND:
+            psi = (tau.psi & ~(1 << i)) | (1 << u.pos[g.left.id]) | (1 << u.pos[g.right.id])
+            child = _bsearch(db, BSequent(u, True, psi, tau.rhs), trace)
+            return BNode(tau, LAND, (child,), i)
+    if f.kind == AND:
+        kids = tuple(_bsearch(db, BSequent(u, tau.regular, tau.psi, u.pos[c.id]), trace)
+                     for c in (f.left, f.right))
+        return BNode(tau, RAND, kids)
+    for i in iter_bits(left):
+        g = u.sf[i]
+        if g.kind == OR:
+            base = tau.psi & ~(1 << i)
+            kids = tuple(
+                _bsearch(db, BSequent(u, True, base | (1 << u.pos[c.id]), tau.rhs), trace)
+                for c in (g.left, g.right))
+            return BNode(tau, LOR, kids, i)
+    if f.kind == IMP:
+        return _right_imp(db, tau, trace)
     raise InternalInvariantViolation(f"no invertible rule at {tau.render()}")
 
 
-def _right_imp(db: Database, tau: BSequent, trace: BSearchTrace, regular: bool) -> BNode:
+def _right_imp(db: Database, tau: BSequent, trace: BSearchTrace) -> BNode:
     u = tau.u
     f = u.sf[tau.rhs]
     a, b = u.pos[f.left.id], u.pos[f.right.id]
     if (u.closure(tau.psi) >> a) & 1:
-        child = _bsearch(db, BSequent(u, regular, tau.psi, b), trace)
+        child = _bsearch(db, BSequent(u, tau.regular, tau.psi, b), trace)
         return BNode(tau, RIMP_IN, (child,))
     child = _bsearch(db, BSequent(u, True, tau.psi | (1 << a), b), trace)
     return BNode(tau, RIMP_NOTIN, (child,))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .formula import (AND, IMP, OR, VAR, Formula, GoalUniverse, build_universe,
                       iter_bits)
-from .kripke import KripkeModel, forces, height_of, model_problems
+from .kripke import KripkeModel, forces, heights, model_problems
 from .rules import (JoinParts, Sequent, axiom, maximal_avoiding, minimal_shifts,
                     or_conclusion, retarget, shifted)
 from .search import (AX_IRR, AX_REG, JOIN_AT, JOIN_OR, RULE_AND, RULE_IMP_IN,
@@ -177,10 +177,6 @@ class _ModelToDerivation:
     def _forces(self, w: int, f: Formula) -> bool:
         return forces(self.model, w, f, self.cache)
 
-    def _add(self, seq: Sequent, rule: str, premises: tuple[int, ...], rank_: int) -> int:
-        nid, created = self.store.add(seq, rule, premises, 0, rank_)
-        return nid
-
     def _pick_eta(self, w: int, ante: Formula, cons: Formula) -> int:
         """Lowest-id world above ``w`` forcing the antecedent, refuting the
         consequent, with no antecedent-forcing world strictly below it."""
@@ -205,18 +201,18 @@ class _ModelToDerivation:
         u = self.u
         f = u.sf[c]
         if (u.prime_mask >> c) & 1:
-            nid = self._add(axiom(u, c, False), AX_IRR, (), -1)
+            nid = self.store.add(axiom(u, c, False), AX_IRR, (), 0, -1)
         elif f.kind == OR:
             n1 = self.irr_of[(w, u.pos[f.left.id])]
             n2 = self.irr_of[(w, u.pos[f.right.id])]
             s1, s2 = self.store.nodes[n1].seq, self.store.nodes[n2].seq
-            nid = self._add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2),
-                            max(self.store.nodes[n1].rank, self.store.nodes[n2].rank))
+            nid = self.store.add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2), 0,
+                                 max(self.store.nodes[n1].rank, self.store.nodes[n2].rank))
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.irr_of[(w, k)]
-            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND,
-                            (prem,), self.store.nodes[prem].rank)
+            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND,
+                                 (prem,), 0, self.store.nodes[prem].rank)
         else:  # implication
             a, b = u.pos[f.left.id], u.pos[f.right.id]
             eta = self._pick_eta(w, f.left, f.right)
@@ -224,14 +220,14 @@ class _ModelToDerivation:
                 prem = self.irr_of[(w, b)]
                 ps = self.store.nodes[prem].seq
                 shifts = minimal_shifts(u, ps.sigma, star & ~ps.sigma, a)
-                nid = self._add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,),
-                                self.store.nodes[prem].rank)
+                nid = self.store.add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,), 0,
+                                     self.store.nodes[prem].rank)
             else:
                 prem = self.reg_of[(eta, b)]
                 gamma = self.store.nodes[prem].seq.gamma
                 thetas = maximal_avoiding(u, u.closure(gamma) & u.gbar, a, require=star)
-                nid = self._add(Sequent(u, False, 0, 0, thetas[0], c),
-                                RULE_IMP_NOTIN, (prem,), self.store.nodes[prem].rank)
+                nid = self.store.add(Sequent(u, False, 0, 0, thetas[0], c),
+                                     RULE_IMP_NOTIN, (prem,), 0, self.store.nodes[prem].rank)
         self.irr_of[(w, c)] = nid
         self.irr_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -246,7 +242,7 @@ class _ModelToDerivation:
         star_imp = self.lam_star[w] & u.imp_mask
         if (u.prime_mask >> c) & 1:
             if not star_imp:
-                nid = self._add(axiom(u, c, True), AX_REG, (), 0)
+                nid = self.store.add(axiom(u, c, True), AX_REG, (), 0, 0)
             else:
                 ups = sorted({u.ante[i] for i in iter_bits(star_imp)})
                 nid = self._join(w, ups, JOIN_AT, c)
@@ -257,13 +253,13 @@ class _ModelToDerivation:
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.reg_of[(w, k)]
-            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,),
-                            self.store.nodes[prem].rank)
+            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,),
+                                 0, self.store.nodes[prem].rank)
         else:
             eta = self._pick_eta(w, f.left, f.right)
             prem = self.reg_of[(eta, u.pos[f.right.id])]
-            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN, (prem,),
-                            self.store.nodes[prem].rank)
+            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN,
+                                 (prem,), 0, self.store.nodes[prem].rank)
         self.reg_of[(w, c)] = nid
         self.reg_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -273,11 +269,12 @@ class _ModelToDerivation:
         parts = JoinParts([self.store.nodes[p].seq for p in prems])
         gamma = parts.at_gamma(c) if flavor == JOIN_AT else parts.or_gamma()
         rank_ = max(self.store.nodes[p].rank for p in prems) + 1
-        return self._add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), rank_)
+        return self.store.add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), 0,
+                              rank_)
 
     def run(self) -> int:
-        order = sorted(self.model.worlds(),
-                       key=lambda w: (height_of(self.model, w), w))
+        hs = heights(self.model)
+        order = sorted(self.model.worlds(), key=lambda w: (hs[w], w))
         u = self.u
         for w in order:
             targets = sorted(iter_bits(self.omega[w]),

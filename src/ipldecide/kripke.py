@@ -122,19 +122,19 @@ def _forces(model: KripkeModel, world: int, f: Formula,
     return val
 
 
+def heights(model: KripkeModel) -> list[int]:
+    """Each world's maximum distance to a final (maximal) world, computed
+    upwards first: a world above another has a strictly smaller up-set."""
+    hs = [0] * model.n
+    for w in sorted(model.worlds(), key=lambda w: model.up[w].bit_count()):
+        hs[w] = max((hs[v] + 1 for v in model.successors(w)), default=0)
+    return hs
+
+
 def height_of(model: KripkeModel, world: int) -> int:
     """Maximum distance from ``world`` to a final (maximal) world."""
     model.check_world(world)
-    memo: dict[int, int] = {}
-
-    def h(w: int) -> int:
-        if w in memo:
-            return memo[w]
-        succ = model.successors(w)
-        memo[w] = 0 if not succ else 1 + max(h(v) for v in succ)
-        return memo[w]
-
-    return h(world)
+    return heights(model)[world]
 
 
 def height(model: KripkeModel) -> int:
@@ -200,10 +200,13 @@ def graph_export(model: KripkeModel) -> str:
 
 
 def text_export(model: KripkeModel) -> str:
+    """One line per world, final worlds first, with the worlds covering it."""
+    hs = heights(model)
+    pairs = model.covering_pairs()
     lines = []
-    for w in sorted(model.worlds(), key=lambda w: (height_of(model, w), w)):
+    for w in sorted(model.worlds(), key=lambda w: (hs[w], w)):
         atoms = ", ".join(sorted(model.valuation[w])) or "-"
-        above = " ".join(str(b) for a, b in model.covering_pairs() if a == w)
+        above = " ".join(str(b) for a, b in pairs if a == w)
         mark = " (root)" if w == model.root else ""
         lines.append(f"world {w}{mark}: {atoms}" + (f"  above: {above}" if above else ""))
     return "\n".join(lines)
@@ -211,9 +214,10 @@ def text_export(model: KripkeModel) -> str:
 
 def typeset_export(model: KripkeModel) -> str:
     """A small LaTeX picture of the poset, root at the bottom."""
+    hs = heights(model)
     levels: dict[int, list[int]] = {}
     for w in model.worlds():
-        levels.setdefault(height_of(model, w), []).append(w)
+        levels.setdefault(hs[w], []).append(w)
     out = ["\\begin{tikzpicture}[every node/.style={draw,rounded corners}]"]
     coords = {}
     maxh = max(levels)

@@ -20,10 +20,13 @@ search module.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .formula import (AND, IMP, OR, Formula, GoalUniverse, iter_bits, minimal_masks,
                       to_text)
+
+
+JOIN_AT, JOIN_OR = "join-at", "join-or"  # the join rules' labels in a store
 
 
 class NotApplicable(ValueError):
@@ -163,10 +166,12 @@ class JoinParts:
     """What a join keeps of its irregular premises, as aggregate masks: the
     right sides ``up_mask``, the union ``sig`` of the stable parts, the
     intersection ``meet`` of the left sides, the common losable part
-    ``theta``, and ``cover``, the implications whose antecedent is among the
-    right sides.  A join keeps the stable part and the common losable atoms,
-    plus the common losable implications inside ``cover``; it applies only
-    when ``supported``, i.e. every stable implication lies inside ``cover``.
+    ``theta``, ``cover``, the implications whose antecedent is among the
+    right sides, and ``ups_in_ps3``, whether every right side is an
+    antecedent on the left of the goal, as a ``join-at`` needs.  A join
+    keeps the stable part and the common losable atoms, plus the common
+    losable implications inside ``cover``; it applies only when
+    ``supported``, i.e. every stable implication lies inside ``cover``.
 
     Built by folding the premises in one at a time (:meth:`fold`),
     optionally onto a ``base`` built the same way, so one more premise costs
@@ -175,7 +180,7 @@ class JoinParts:
     whether a sequent extends the premises (:meth:`admits`).
     """
 
-    __slots__ = ("u", "up_mask", "sig", "meet", "theta", "cover")
+    __slots__ = ("u", "up_mask", "sig", "meet", "theta", "cover", "ups_in_ps3")
 
     def __init__(self, seqs: Iterable[Sequent], base: JoinParts | None = None):
         if base is None:
@@ -196,6 +201,7 @@ class JoinParts:
         self.meet = base.meet & (s.sigma | s.theta)
         self.theta = base.theta & s.theta
         self.cover = base.cover | u.imps_by_ante.get(s.rhs, 0)
+        self.ups_in_ps3 = not self.up_mask & ~u.ps3_mask
 
     @property
     def supported(self) -> bool:
@@ -218,7 +224,28 @@ class JoinParts:
 
     def or_gamma(self) -> int:
         """Left side of the join onto a disjunction of two right sides."""
-        return self.sig | self.theta & (self.u.var_mask | self.cover)
+        return self._left(self.cover)
+
+    def _left(self, cover: int) -> int:
+        return self.sig | self.theta & (self.u.var_mask | cover)
+
+    def conclusions(self, ups: int, cover: int) -> Iterator[tuple[int, str, int]]:
+        """``(target, rule, left side)`` of each join of these premises, with
+        ``ups`` as the right sides and ``cover`` as the supported
+        implications: a ``join-at`` onto each prime outside the stable part
+        when :attr:`ups_in_ps3`, then a ``join-or`` onto each disjunction of
+        two sides in ``ups``.  The search passes a set's own ``up_mask`` and
+        ``cover`` to fire it, and those of the set and all its candidates to
+        bound the sets below it.  Support is not checked."""
+        u = self.u
+        gamma = self._left(cover)
+        if self.ups_in_ps3:
+            for t in u.prime_rhs:
+                if not (self.sig >> t) & 1:
+                    yield t, JOIN_AT, gamma & ~(1 << t)
+        for t, c1, c2 in u.or_targets:
+            if (ups >> c1) & 1 and (ups >> c2) & 1:
+                yield t, JOIN_OR, gamma
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,16 @@ aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
 stable parts, the intersection of its left sides, its common losable part
 and the implications its right sides support); its rank is the larger of
 the base's and the new premise's rank plus one.  An unsupported set never
-fires; only its extensions by a supporting premise can.  A set with a
-retired member never fires either, nor does any set below it, so the walk
-leaves a set once one of its members is retired; a count of retired
-premises tells the walk when to look.  The walk of each new premise ends
+fires; only its extensions by a supporting premise can.  A candidate
+retired before the walk reaches it is skipped, but no member of a set
+retires while the walk is below that set, because the sequent weight
+(``rules.weight``) strictly drops from each premise to its conclusion.  A
+conclusion J that strictly subsumes an entry D holds D's right side and
+at least its left side, so weight(D) <= weight(J); every entry the
+cascade then retires derives from D, so weighs at most weight(D); and
+each premise m of J's rule instance weighs more than J.  So the cascade
+never reaches m, and as every set fired below a set holds its members,
+none of them retires during its walk.  The walk of each new premise ends
 before the next premise is added, so sets that would only be built after
 the goal is found never are.
 
@@ -98,12 +104,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .formula import Formula, GoalUniverse, build_universe
-from .rules import (JoinParts, Sequent, axioms, covers, maximal_avoiding, minimal_shifts,
-                    or_conclusion, retarget, shifted, subsumes)
+from .rules import (JOIN_AT, JOIN_OR, JoinParts, Sequent, axioms, covers, maximal_avoiding,
+                    minimal_shifts, or_conclusion, retarget, shifted, subsumes)
 
 AX_REG, AX_IRR = "ax=>", "ax->"
 RULE_AND, RULE_OR, RULE_IMP_IN, RULE_IMP_NOTIN = "and", "or", "imp-in", "imp-notin"
-JOIN_AT, JOIN_OR = "join-at", "join-or"
 JOIN_RULES = (JOIN_AT, JOIN_OR)
 _COUNTERS = ("candidate_sets", "subtrees_skipped", "generated", "forward_subsumed",
              "backward_removed")
@@ -140,11 +145,11 @@ class DerivationStore:
         self.consumers: dict[int, list[int]] = {}
 
     def add(self, seq: Sequent, rule: str, premises: tuple[int, ...],
-            iteration: int, rank: int) -> tuple[int, bool]:
+            iteration: int, rank: int) -> int:
         key = seq.key
         nid = self.by_key.get(key)
         if nid is not None:
-            return nid, False
+            return nid
         nid = len(self.nodes)
         self.nodes.append(StoreNode(seq, rule, premises, iteration, rank))
         self.by_key[key] = nid
@@ -155,7 +160,7 @@ class DerivationStore:
                 consumers[p] = [nid]
             else:
                 users.append(nid)
-        return nid, True
+        return nid
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -317,7 +322,7 @@ class Database:
         """Store ``seq``, of bucket ``key`` and mask ``mask``, which no entry
         subsumes, and make it live; in compact mode also retire every
         strictly subsumed entry together with its stored consequences."""
-        nid, _created = self.store.add(seq, rule, premises, iteration, rank)
+        nid = self.store.add(seq, rule, premises, iteration, rank)
         grades = self._link(nid, seq.rhs, key, mask)
         doomed = []
         if self.compact_mode:
@@ -385,9 +390,9 @@ class JoinCandidateSet(JoinParts):
     Built from its sorted ``members``, or, when ``base`` is given, by folding
     the one member ``new`` onto the parts and rank of the set ``base``."""
 
-    __slots__ = ("members", "ups_in_ps3", "needed_rank")
+    __slots__ = ("members", "needed_rank")
 
-    def __init__(self, u: GoalUniverse, store: DerivationStore, members: tuple[int, ...],
+    def __init__(self, store: DerivationStore, members: tuple[int, ...],
                  base: JoinCandidateSet | None = None, new: int = -1):
         if base is None:
             super().__init__([store.nodes[m].seq for m in members])
@@ -397,7 +402,6 @@ class JoinCandidateSet(JoinParts):
             self.fold(base, node.seq)
             self.needed_rank = max(base.needed_rank, node.rank + 1)
         self.members = members
-        self.ups_in_ps3 = not self.up_mask & ~u.ps3_mask
 
 
 @dataclass
@@ -446,7 +450,6 @@ class SearchState:
         self._counters = dict.fromkeys(_COUNTERS, 0)
 
         self.members: dict[int, None] = {}  # walked join premises still live, oldest first
-        self.retired = 0  # walked join premises retired so far
         self.blocked: list[tuple[JoinCandidateSet, list[int]]] = []  # deferred walks
         self.db.removal_listeners.append(self._on_removed)
 
@@ -490,7 +493,7 @@ class SearchState:
         seq = self.store.nodes[nid].seq
         if nid in self.members or not (self.u.ps4_mask >> seq.rhs) & 1:
             return
-        cs = JoinCandidateSet(self.u, self.store, (nid,))
+        cs = JoinCandidateSet(self.store, (nid,))
         self._counters["candidate_sets"] += 1
         cands = [m for m in self.members if cs.admits(self.store.nodes[m].seq)]
         self.members[nid] = None
@@ -500,11 +503,13 @@ class SearchState:
 
     def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
         """Fire ``cs`` (all of whose members are live) and every set that
-        extends it by some of ``cands``: for each candidate in turn, the
-        extension by it and the extensions of that by earlier candidates,
-        then ``cs`` itself; skip them all when ``_subsumed`` shows they would
-        insert nothing, stop once a member of ``cs`` is retired, and defer
-        them all to a later wave when ``cs`` is above the current one."""
+        extends it by some of ``cands``: for each candidate still live in
+        turn, the extension by it and the extensions of that by earlier
+        candidates, then ``cs`` itself; skip them all when ``_subsumed``
+        shows they would insert nothing, and defer them all to a later wave
+        when ``cs`` is above the current one.  No fire below ``cs`` retires
+        a member of ``cs`` (the weight lemma of the module docstring), so
+        ``cs`` stays live throughout."""
         if self.min_height and cs.needed_rank > self.cap:
             self.blocked.append((cs, cands))
             return
@@ -513,20 +518,14 @@ class SearchState:
             return
         nodes = self.store.nodes
         members = self.members
-        retired = self.retired
         for j, c in enumerate(cands):
             if self._goal is not None:
                 return
             if c in members:
-                if self.retired != retired:
-                    if not self._live(cs):
-                        return
-                    retired = self.retired
-                ext = JoinCandidateSet(self.u, self.store, tuple(sorted(cs.members + (c,))),
-                                       cs, c)
+                ext = JoinCandidateSet(self.store, tuple(sorted(cs.members + (c,))), cs, c)
                 self._counters["candidate_sets"] += 1
                 self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
-        if self._goal is None and (self.retired == retired or self._live(cs)):
+        if self._goal is None:
             self._fire(cs)
 
     def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
@@ -546,14 +545,9 @@ class SearchState:
             return True
         if self.min_height and max(nodes[c].rank for c in cands) >= self.cap:
             return False
-        bound = cs.sig | cs.theta & (u.var_mask | cover)
         subsumer = self.db._subsumer
-        if cs.ups_in_ps3:
-            for f in u.prime_rhs:
-                if not (cs.sig >> f) & 1 and subsumer((True, f), bound & ~(1 << f)) is None:
-                    return False
-        for t, c1, c2 in u.or_targets:
-            if (ups >> c1) & 1 and (ups >> c2) & 1 and subsumer((True, t), bound) is None:
+        for t, _rule, gamma in cs.conclusions(ups, cover):
+            if subsumer((True, t), gamma) is None:
                 return False
         return True
 
@@ -562,25 +556,13 @@ class SearchState:
 
     def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
         for rid, _repl in removed:
-            if rid in self.members:
-                del self.members[rid]
-                self.retired += 1
+            self.members.pop(rid, None)
 
     def _fire(self, cs: JoinCandidateSet) -> None:
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
-        u = self.u
-        rank = cs.needed_rank
-        if cs.ups_in_ps3:
-            for f in u.prime_rhs:
-                if not (cs.sig >> f) & 1:
-                    self._insert_at((True, f), cs.at_gamma(f), None, JOIN_AT, cs.members,
-                                    rank)
-        gamma_or = cs.or_gamma()
-        ups = cs.up_mask
-        for t, c1, c2 in u.or_targets:
-            if (ups >> c1) & 1 and (ups >> c2) & 1:
-                self._insert_at((True, t), gamma_or, None, JOIN_OR, cs.members, rank)
+        for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
+            self._insert_at((True, t), gamma, None, rule, cs.members, cs.needed_rank)
 
     # -- one iteration -------------------------------------------------------
 

@@ -5,7 +5,12 @@ a refactor) must keep these digests.  A change that alters output on purpose
 re-pins them and says why.  Each digest covers, per formula and in order:
 the verdict, ``db.dump(annotated=True)``, ``store.dump()``,
 ``minimum_compact(db).dump(annotated=True)`` and, for a non-valid goal, the
-extracted countermodel's world count and height.  Regenerate with
+extracted countermodel's world count and height.
+
+A second table pins the certificates of the valid goals: per valid goal of
+the chains, the random corpus and ``conftest.G3I_CONSUMED_ANTECEDENT``, the
+G3i text of ``to_g3i(bsearch(db))`` and the critical choices ``bsearch``
+took.  Regenerate both tables with
 ``PYTHONPATH=src python tests/test_fingerprints.py``.
 """
 
@@ -13,11 +18,14 @@ import hashlib
 
 import pytest
 
+from ipldecide.backward import BSearchTrace, bsearch, g3i_text, to_g3i
 from ipldecide.countermodel import extract_model
 from ipldecide.formula import parse
 from ipldecide.generate import nishimura, random_formulas
 from ipldecide.kripke import height
 from ipldecide.search import fsearch, minimum_compact
+
+from conftest import G3I_CONSUMED_ANTECEDENT
 
 RANDOM_CHUNK = 25
 
@@ -83,7 +91,52 @@ DIGESTS = {
 }
 
 
+def _certificate(goal):
+    """The G3i text and the critical choices of a valid goal's certificate;
+    None for a goal that is not valid."""
+    out = fsearch(goal)
+    if out.is_proof:
+        return None
+    trace = BSearchTrace()
+    tree = bsearch(out.db, trace=trace)
+    choices = [(tau.render(), rule, principal)
+               for tau, rule, principal in trace.critical_choices]
+    return "\x00".join([g3i_text(to_g3i(tree), out.universe), repr(choices)])
+
+
+def _certificate_digest(goals):
+    text = "\x01".join(c for c in map(_certificate, goals) if c is not None)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _certificate_groups():
+    """(label, goals): the groups of ``_groups`` without the ladders (none
+    of them is valid), and the goals whose G3i translation once re-added a
+    consumed antecedent."""
+    groups = [(label, goals) for label, goals, _mh in _groups()
+              if not label.startswith("ladder")]
+    groups.append(("consumed-antecedent", [parse(t) for t in G3I_CONSUMED_ANTECEDENT]))
+    return groups
+
+
+CERTIFICATE_DIGESTS = {
+    "chain4": "17b221cedc64ac9e7f77b7ad27a775220dd1496f0b09516e0a62c7ceee8de530",
+    "chain5": "3a07eb9896350a28b43d26f4cb171e22c4affc8aa4540fafc7b3e682d0e48034",
+    "chain6": "798ba68a66f8e09f857cf89f31067b9b2b30b2470bbfcd050b92edb85fe58c9b",
+    "chain7": "78efa1f3f32cdbc8b1d438a4f7eead691796251c27d4dae6e77317679ee0f9b0",
+    "chain8": "6b2eee2a7dd1e75b414e4037992bb45d33d65e3a018678e733ac3f73f1975fb9",
+    "random0-24": "f7000c0c7426004960c85a95db1ffe58c608781661fc1812aad01bb63f6456bd",
+    "random25-49": "c5c2127e9a00a1043ab6fe1b8e7f2058f57a1bd530ab32649be52ceace951caf",
+    "random50-74": "96f3318aa77a8038a7efdf1b912410df297df8764d407abafff29b7d922637ad",
+    "random75-99": "a89159c935bd6cb70189d2530b2ca8eef82018a59c4457598bb224664060ef55",
+    "random100-124": "2bb7bcaaabd67c2ce7435ef18a7af0be65731c135995672714effeb92b9cad5b",
+    "random125-149": "027565dcb1c66ead3e0f672c4182b84604c44b008dcc4309bf2e74f94f191e0b",
+    "consumed-antecedent": "89cdc097a30d3ddaa8cbf6104d431265a5d5c9d6905ea5a5d9ef9f954ad3e7b6",
+}
+
+
 GROUPS = _groups()
+CERTIFICATE_GROUPS = _certificate_groups()
 
 
 @pytest.mark.parametrize("label,goals,min_height", GROUPS, ids=[g[0] for g in GROUPS])
@@ -91,6 +144,18 @@ def test_output_matches_the_pinned_digest(label, goals, min_height):
     assert _digest(goals, min_height) == DIGESTS[label]
 
 
+@pytest.mark.parametrize("label,goals", CERTIFICATE_GROUPS,
+                         ids=[g[0] for g in CERTIFICATE_GROUPS])
+def test_certificates_match_the_pinned_digest(label, goals):
+    assert _certificate_digest(goals) == CERTIFICATE_DIGESTS[label]
+
+
 if __name__ == "__main__":
+    print("DIGESTS = {")
     for label, goals, min_height in GROUPS:
         print(f'    "{label}": "{_digest(goals, min_height)}",')
+    print("}")
+    print("CERTIFICATE_DIGESTS = {")
+    for label, goals in CERTIFICATE_GROUPS:
+        print(f'    "{label}": "{_certificate_digest(goals)}",')
+    print("}")

@@ -8,7 +8,8 @@ from ipldecide import formula as F
 from ipldecide.formula import parse
 from ipldecide.kripke import (KripkeModel, UnknownWorld, check_countermodel,
                               forces, graph_export, height, height_of,
-                              model_problems, structured_export)
+                              model_problems, structured_export, text_export,
+                              typeset_export)
 
 from conftest import SCOTT
 from test_formula import formulas
@@ -124,3 +125,38 @@ def test_structured_and_graph_export():
 def test_covering_pairs_are_a_transitive_reduction():
     m = scott_hand_model()
     assert set(m.covering_pairs()) == {(0, 1), (0, 2), (2, 3)}
+
+
+def diamond_model():
+    """Root 0 below 3 and 5, both below 1, which is below 2; 5 is also below
+    the final world 4.  World ids follow neither height nor level order."""
+    return KripkeModel.from_order_pairs(
+        6, [(0, 3), (0, 5), (3, 1), (5, 1), (5, 4), (1, 2)], 0,
+        [set(), {"q"}, {"p", "q"}, set(), {"p"}, set()])
+
+
+def test_text_and_typeset_exports_are_pinned():
+    m = diamond_model()
+    assert text_export(m) == "\n".join([
+        "world 2: p, q",
+        "world 4: p",
+        "world 1: q  above: 2",
+        "world 3: -  above: 1",
+        "world 5: -  above: 1 4",
+        "world 0 (root): -  above: 3 5"])
+    assert typeset_export(m) == "\n".join([
+        "\\begin{tikzpicture}[every node/.style={draw,rounded corners}]",
+        "  \\node (w2) at (0.0,4.5) {2: $p,q$};",
+        "  \\node (w4) at (2.5,4.5) {4: $p$};",
+        "  \\node (w1) at (0.0,3.0) {1: $q$};",
+        "  \\node (w3) at (0.0,1.5) {3: $$};",
+        "  \\node (w5) at (2.5,1.5) {5: $$};",
+        "  \\node (w0) at (0.0,0.0) {0: $$};",
+        "  \\draw (w0) -- (w3);",
+        "  \\draw (w0) -- (w5);",
+        "  \\draw (w1) -- (w2);",
+        "  \\draw (w3) -- (w1);",
+        "  \\draw (w5) -- (w1);",
+        "  \\draw (w5) -- (w4);",
+        "\\end{tikzpicture}"])
+    assert [height_of(m, w) for w in m.worlds()] == [3, 1, 0, 2, 0, 2]

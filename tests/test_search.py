@@ -331,7 +331,7 @@ class LinearScanDatabase(Database):
 
     def _store(self, seq, key, mask, rule, premises, iteration, rank):
         same_rhs = self.by_rhs.get(seq.rhs)
-        nid, _created = self.store.add(seq, rule, premises, iteration, rank)
+        nid = self.store.add(seq, rule, premises, iteration, rank)
         self.entries.add(nid)
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
         removed = []
@@ -462,7 +462,7 @@ class StoredSetSearchState(SearchState):
         key = frozenset(members)
         if key in self.sets:
             return
-        cs = search.JoinCandidateSet(self.u, self.store, members, base, new)
+        cs = search.JoinCandidateSet(self.store, members, base, new)
         self.sets[key] = cs
         for m in members:
             self.by_member.setdefault(m, set()).add(key)
@@ -538,10 +538,11 @@ class FromScratchJoinCandidateSet(JoinParts):
 
     __slots__ = ("members", "ups_in_ps3", "needed_rank")
 
-    def __init__(self, u, store, members, base=None, new=-1):
+    def __init__(self, store, members, base=None, new=-1):
         super().__init__([store.nodes[m].seq for m in members])
         self.members = members
-        self.ups_in_ps3 = all((u.ps3_mask >> store.nodes[m].seq.rhs) & 1 for m in members)
+        self.ups_in_ps3 = all((self.u.ps3_mask >> store.nodes[m].seq.rhs) & 1
+                              for m in members)
         self.needed_rank = max(store.nodes[m].rank for m in members) + 1
 
 
@@ -712,6 +713,37 @@ def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
                  "~(~p1 | p2 | p1) & ~(p1 -> p1 & p3) -> p1 | p1 & p3",
                  "(~(p2 & p3) -> p3 -> p3) -> p3 | (~(p1 -> p3) -> ~~~p4) | p1"):
         fsearch(parse(text), min_height=True)
+
+
+def test_a_firing_set_never_retires_its_own_members(monkeypatch):
+    # The weight lemma of the search module: a join conclusion that
+    # backward-subsumes an entry weighs at least as much as it, and less
+    # than each of its premises, so the cascade never reaches a premise.
+    # Hence no member of a set retires while the set or one below it fires,
+    # and every set fires with all its members live.  Other walked premises
+    # do retire during fires on these goals, so the check is not vacuous.
+    fire, on_removed = SearchState._fire, SearchState._on_removed
+    retired = []
+
+    def log_removed(self, removed):
+        retired.extend(rid for rid, _repl in removed if rid in self.members)
+        on_removed(self, removed)
+
+    def checked_fire(self, cs):
+        assert all(m in self.members for m in cs.members), cs.members
+        start = len(retired)
+        fire(self, cs)
+        assert not set(retired[start:]) & set(cs.members), cs.members
+
+    monkeypatch.setattr(SearchState, "_on_removed", log_removed)
+    monkeypatch.setattr(SearchState, "_fire", checked_fire)
+    for min_height in (False, True):
+        runs = 0
+        for goal in random_formulas(99, 4, 40, 300):
+            before = len(retired)
+            fsearch(goal, min_height=min_height)
+            runs += len(retired) > before
+        assert runs >= 20, min_height
 
 
 # Minimal countermodel heights of nishimura(1..18).
