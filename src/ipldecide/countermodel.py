@@ -6,7 +6,10 @@ when the second was used to derive the first.  ``phi`` sends every regular
 sequent of a derivation to the nearest world sequent above it; the
 soundness audit replays the semantic reading of every regular sequent
 (world forces the left side, refutes the right side) against the extracted
-model.
+model.  Extraction reads the derivation in one pass, premises first, keeping
+per node the worlds of its derivation as a bit mask.  The join depth of a
+derivation, which equals the height of its extracted model, is the rank the
+store assigned to its root (``search.DerivationStore``).
 
 The reverse direction turns any verified countermodel into a derivation of
 the goal whose join depth is bounded by the model height: worlds are
@@ -47,73 +50,48 @@ class ExtractedModel:
     world_nodes: tuple[int, ...]  # world index -> store node id
 
 
-def _phi_walk(store: DerivationStore, nid: int) -> int:
-    """The world sequent immediately above a regular sequent: strip the
-    single-premise conjunction/implication steps below it."""
-    node = store.nodes[nid]
-    while not is_world_node(node):
-        nid = node.premises[0]
-        node = store.nodes[nid]
-    return nid
-
-
 def extract_model(store: DerivationStore, root: int) -> ExtractedModel:
     """The Kripke model whose worlds are the world sequents of the stored
-    derivation of ``root``; one world sits below another iff the other
-    occurs in its derivation."""
+    derivation of ``root``, numbered by node id; one world sits below
+    another iff the other occurs in its derivation.
+
+    One pass over the derivation in ascending id order, which puts premises
+    first, gives each node the bit mask of the worlds in its derivation, and
+    each regular node its world: its own if it is a world sequent, else that
+    of its first premise, the regular sequent it strips one conjunction or
+    implication step from."""
     node = store.nodes[root]
     if not node.seq.regular:
         raise NotARegularRoot(node.seq.render())
-    nodes = store.ancestors(root)
-    world_nodes = tuple(sorted(n for n in nodes if is_world_node(store.nodes[n])))
-    windex = {n: i for i, n in enumerate(world_nodes)}
-
-    # Ancestor closure inside the derivation, ids ascending = premises first.
-    anc: dict[int, set[int]] = {}
-    for nid in sorted(nodes):
-        s: set[int] = set()
-        for p in store.nodes[nid].premises:
-            s.add(p)
-            s |= anc[p]
-        anc[nid] = s
-
     u = store.u
-    up = []
-    for wn in world_nodes:
+    worlds: dict[int, int] = {}
+    phi: dict[int, int] = {}
+    world_nodes, up, valuation = [], [], []
+    for nid in sorted(store.ancestors(root)):
+        node = store.nodes[nid]
         mask = 0
-        for other in world_nodes:
-            if other == wn or other in anc[wn]:
-                mask |= 1 << windex[other]
-        up.append(mask)
-    valuation = []
-    for wn in world_nodes:
-        seq = store.nodes[wn].seq
-        valuation.append(frozenset(
-            u.sf[i].name for i in iter_bits(seq.lhs & u.var_mask)))
-
-    phi = {nid: windex[_phi_walk(store, nid)]
-           for nid in nodes if store.nodes[nid].seq.regular}
+        for p in node.premises:
+            mask |= worlds[p]
+        if is_world_node(node):
+            phi[nid] = w = len(world_nodes)
+            mask |= 1 << w
+            world_nodes.append(nid)
+            up.append(mask)
+            valuation.append(frozenset(
+                u.sf[i].name for i in iter_bits(node.seq.lhs & u.var_mask)))
+        elif node.seq.regular:
+            phi[nid] = phi[node.premises[0]]
+        worlds[nid] = mask
+    world_nodes = tuple(world_nodes)
     model = KripkeModel(up, phi[root], valuation, labels=world_nodes)
     return ExtractedModel(model, phi, world_nodes)
 
 
 def rank(store: DerivationStore, nid: int) -> int:
-    """Join depth of the stored derivation: irregular axioms count -1,
-    regular axioms 0, each join adds one on the deepest path."""
-    memo: dict[int, int] = {}
-
-    def r(n: int) -> int:
-        if n in memo:
-            return memo[n]
-        node = store.nodes[n]
-        if not node.premises:
-            memo[n] = 0 if node.seq.regular else -1
-        else:
-            bump = 1 if node.rule in (JOIN_AT, JOIN_OR) else 0
-            memo[n] = max(r(p) for p in node.premises) + bump
-        return memo[n]
-
-    return r(nid)
+    """Join depth of the stored derivation of ``nid``, as the store assigned
+    it: irregular axioms count -1, regular axioms 0, each join adds one on
+    the deepest path."""
+    return store.nodes[nid].rank
 
 
 def find_soundness_violation(store: DerivationStore, root: int,
@@ -201,18 +179,17 @@ class _ModelToDerivation:
         u = self.u
         f = u.sf[c]
         if (u.prime_mask >> c) & 1:
-            nid = self.store.add(axiom(u, c, False), AX_IRR, (), 0, -1)
+            nid = self.store.add(axiom(u, c, False), AX_IRR, (), 0)
         elif f.kind == OR:
             n1 = self.irr_of[(w, u.pos[f.left.id])]
             n2 = self.irr_of[(w, u.pos[f.right.id])]
             s1, s2 = self.store.nodes[n1].seq, self.store.nodes[n2].seq
-            nid = self.store.add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2), 0,
-                                 max(self.store.nodes[n1].rank, self.store.nodes[n2].rank))
+            nid = self.store.add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2), 0)
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.irr_of[(w, k)]
             nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND,
-                                 (prem,), 0, self.store.nodes[prem].rank)
+                                 (prem,), 0)
         else:  # implication
             a, b = u.pos[f.left.id], u.pos[f.right.id]
             eta = self._pick_eta(w, f.left, f.right)
@@ -220,14 +197,13 @@ class _ModelToDerivation:
                 prem = self.irr_of[(w, b)]
                 ps = self.store.nodes[prem].seq
                 shifts = minimal_shifts(u, ps.sigma, star & ~ps.sigma, a)
-                nid = self.store.add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,), 0,
-                                     self.store.nodes[prem].rank)
+                nid = self.store.add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,), 0)
             else:
                 prem = self.reg_of[(eta, b)]
                 gamma = self.store.nodes[prem].seq.gamma
                 thetas = maximal_avoiding(u, u.closure(gamma) & u.gbar, a, require=star)
                 nid = self.store.add(Sequent(u, False, 0, 0, thetas[0], c),
-                                     RULE_IMP_NOTIN, (prem,), 0, self.store.nodes[prem].rank)
+                                     RULE_IMP_NOTIN, (prem,), 0)
         self.irr_of[(w, c)] = nid
         self.irr_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -242,7 +218,7 @@ class _ModelToDerivation:
         star_imp = self.lam_star[w] & u.imp_mask
         if (u.prime_mask >> c) & 1:
             if not star_imp:
-                nid = self.store.add(axiom(u, c, True), AX_REG, (), 0, 0)
+                nid = self.store.add(axiom(u, c, True), AX_REG, (), 0)
             else:
                 ups = sorted({u.ante[i] for i in iter_bits(star_imp)})
                 nid = self._join(w, ups, JOIN_AT, c)
@@ -253,13 +229,12 @@ class _ModelToDerivation:
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.reg_of[(w, k)]
-            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,),
-                                 0, self.store.nodes[prem].rank)
+            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,), 0)
         else:
             eta = self._pick_eta(w, f.left, f.right)
             prem = self.reg_of[(eta, u.pos[f.right.id])]
             nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN,
-                                 (prem,), 0, self.store.nodes[prem].rank)
+                                 (prem,), 0)
         self.reg_of[(w, c)] = nid
         self.reg_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -268,9 +243,7 @@ class _ModelToDerivation:
         prems = [self.irr_of[(w, y)] for y in ups]
         parts = JoinParts([self.store.nodes[p].seq for p in prems])
         gamma = parts.at_gamma(c) if flavor == JOIN_AT else parts.or_gamma()
-        rank_ = max(self.store.nodes[p].rank for p in prems) + 1
-        return self.store.add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), 0,
-                              rank_)
+        return self.store.add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), 0)
 
     def run(self) -> int:
         hs = heights(self.model)

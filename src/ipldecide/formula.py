@@ -149,6 +149,8 @@ class ParseError(ValueError):
 
 _TWO_CHAR = {"->"}
 _ONE_CHAR = {"~", "&", "|", "(", ")", "#"}
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_NAME_CHARS = _NAME_START | frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -176,9 +178,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             i += 1
             col += 1
             continue
-        if c.islower():
+        if c in _NAME_START:
             j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             word = text[i:j]
             toks.append(("name", word, line, col))

@@ -20,7 +20,7 @@ search module.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .formula import (AND, IMP, OR, Formula, GoalUniverse, iter_bits, minimal_masks,
                       to_text)
@@ -173,25 +173,21 @@ class JoinParts:
     losable implications inside ``cover``; it applies only when
     ``supported``, i.e. every stable implication lies inside ``cover``.
 
-    Built by folding the premises in one at a time (:meth:`fold`),
-    optionally onto a ``base`` built the same way, so one more premise costs
-    one fold.  Every premise covers every other (:func:`covers`) exactly when
-    ``sig`` lies inside ``meet`` (:attr:`covered`), so one mask test tells
-    whether a sequent extends the premises (:meth:`admits`).
+    Built by folding the premises in one at a time (:meth:`fold`), so one
+    more premise costs one fold.  Every premise covers every other
+    (:func:`covers`) exactly when ``sig`` lies inside ``meet``
+    (:attr:`covered`), so one mask test tells whether a sequent extends the
+    premises (:meth:`admits`).
     """
 
     __slots__ = ("u", "up_mask", "sig", "meet", "theta", "cover", "ups_in_ps3")
 
-    def __init__(self, seqs: Iterable[Sequent], base: JoinParts | None = None):
-        if base is None:
-            seqs = list(seqs)
-            self.u = seqs[0].u
-            self.up_mask = self.sig = self.cover = 0
-            self.meet = self.theta = self.u.full_mask
-            base = self
+    def __init__(self, seqs: Sequence[Sequent]):
+        self.u = seqs[0].u
+        self.up_mask = self.sig = self.cover = 0
+        self.meet = self.theta = self.u.full_mask
         for s in seqs:
-            self.fold(base, s)
-            base = self
+            self.fold(self, s)
 
     def fold(self, base: JoinParts, s: Sequent) -> None:
         """Set the parts to those of ``base`` with the premise ``s`` added."""

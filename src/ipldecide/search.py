@@ -8,10 +8,14 @@ derivation refutes the goal, so only a valid goal saturates the database.
 The stop is checked after each premise's rule instances and after each
 join set fires, so the rest of the iteration is never applied.
 
-With backward subsumption on, inserting a strictly stronger sequent
-retires the weaker entries and, transitively, every entry whose stored
-derivation used one; retired store nodes are tombstoned, never deleted, so
-earlier proofs stay replayable.
+Every conclusion goes into the database through ``Database.insert``.  With
+backward subsumption on, inserting a strictly stronger sequent retires the
+weaker entries and, transitively, every entry whose stored derivation used
+one, and reports them to the database's removal listeners; retired store
+nodes are tombstoned, never deleted, so earlier proofs stay replayable.  The
+derivation store gives each node its rank, the join depth of its
+derivation, as it is added; a retired sequent derived again keeps its node,
+and with it its first derivation and rank.
 
 Both subsumption checks go through an index built from the definition of
 ``rules.subsumes``: a regular sequent can only be subsumed by a regular one
@@ -134,8 +138,11 @@ class DerivationStore:
     """Append-only DAG of proved sequents with rule labels and premise links.
 
     One node per sequent; re-derivations of a stored sequent keep the first
-    derivation.  ``consumers`` inverts the premise links for backward
-    subsumption cascades.
+    derivation, and with it the first rank.  A node's rank is the join depth
+    of its derivation: 0 for a regular axiom, -1 for an irregular one, the
+    deepest premise's rank plus one for a join, and the deepest premise's
+    rank for every other rule.  ``consumers`` inverts the premise links for
+    backward subsumption cascades.
     """
 
     def __init__(self, universe: GoalUniverse):
@@ -145,13 +152,18 @@ class DerivationStore:
         self.consumers: dict[int, list[int]] = {}
 
     def add(self, seq: Sequent, rule: str, premises: tuple[int, ...],
-            iteration: int, rank: int) -> int:
+            iteration: int) -> int:
         key = seq.key
         nid = self.by_key.get(key)
         if nid is not None:
             return nid
-        nid = len(self.nodes)
-        self.nodes.append(StoreNode(seq, rule, premises, iteration, rank))
+        nodes = self.nodes
+        if premises:
+            rank = max([nodes[p].rank for p in premises]) + (1 if rule in JOIN_RULES else 0)
+        else:
+            rank = 0 if seq.regular else -1
+        nid = len(nodes)
+        nodes.append(StoreNode(seq, rule, premises, iteration, rank))
         self.by_key[key] = nid
         consumers = self.consumers
         for p in premises:
@@ -190,18 +202,6 @@ class DerivationStore:
             tail = f"  {n.rule}" + (f" {prem}" if prem else "")
             lines.append(f"({number[nid]}) {n.seq.render()}{tail}")
         return "\n".join(lines)
-
-
-@dataclass(slots=True)
-class InsertResult:
-    status: str                      # "added" | "forward-subsumed" | "backward-replaced"
-    node: Optional[int] = None
-    subsumed_by: Optional[int] = None
-    removed: tuple[int, ...] = ()
-
-    ADDED = "added"
-    FORWARD_SUBSUMED = "forward-subsumed"
-    BACKWARD_REPLACED = "backward-replaced"
 
 
 def _index_key(seq: Sequent) -> tuple[tuple, int]:
@@ -307,22 +307,25 @@ class Database:
             seq = _sequent_at(self.u, key, mask)
         return e if subsumes(seq, self.store.nodes[e].seq) else None
 
-    def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
-               iteration: int = 0, rank: int = 0) -> InsertResult:
-        """Forward subsumption check (:meth:`_subsumer`), then store
-        (:meth:`_store`)."""
-        key, mask = _index_key(seq)
-        e = self._subsumer(key, mask, seq)
-        if e is not None:
-            return InsertResult(InsertResult.FORWARD_SUBSUMED, subsumed_by=e)
-        return self._store(seq, key, mask, rule, premises, iteration, rank)
+    def insert(self, key: tuple, mask: int, rule: str, premises: tuple[int, ...] = (),
+               iteration: int = 0, seq: Sequent | None = None) -> Optional[int]:
+        """Store the sequent of bucket ``key`` and mask ``mask`` (see
+        :func:`_index_key`) unless an entry subsumes it (:meth:`_subsumer`),
+        and return its node id, or None when it is subsumed.  ``seq`` is
+        that sequent, or None to build it only if it is stored."""
+        if self._subsumer(key, mask, seq) is not None:
+            return None
+        if seq is None:
+            seq = _sequent_at(self.u, key, mask)
+        return self._store(seq, key, mask, rule, premises, iteration)
 
     def _store(self, seq: Sequent, key: tuple, mask: int, rule: str,
-               premises: tuple[int, ...], iteration: int, rank: int) -> InsertResult:
+               premises: tuple[int, ...], iteration: int) -> int:
         """Store ``seq``, of bucket ``key`` and mask ``mask``, which no entry
-        subsumes, and make it live; in compact mode also retire every
-        strictly subsumed entry together with its stored consequences."""
-        nid = self.store.add(seq, rule, premises, iteration, rank)
+        subsumes, make it live and return its node id; in compact mode also
+        retire every strictly subsumed entry together with its stored
+        consequences, and report them to the ``removal_listeners``."""
+        nid = self.store.add(seq, rule, premises, iteration)
         grades = self._link(nid, seq.rhs, key, mask)
         doomed = []
         if self.compact_mode:
@@ -335,7 +338,7 @@ class Database:
                         if not m & outside and subsumes(nodes[group[m]].seq, seq):
                             doomed.append(group[m])
         if not doomed:
-            return InsertResult(InsertResult.ADDED, node=nid)
+            return nid
         doomed.sort()
         removed: list[tuple[int, Optional[int]]] = []
         queue = deque((e, nid) for e in doomed)
@@ -350,8 +353,7 @@ class Database:
                     queue.append((c, None))
         for listener in self.removal_listeners:
             listener(removed)
-        return InsertResult(InsertResult.BACKWARD_REPLACED, node=nid,
-                            removed=tuple(e for e, _ in removed))
+        return nid
 
     def dump(self, annotated: bool = False) -> str:
         """Canonical dump: one sequent per line, sorted by content so that
@@ -455,34 +457,30 @@ class SearchState:
 
     # -- insertion ---------------------------------------------------------
 
-    def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...],
-                rank: int) -> None:
+    def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...]) -> None:
         key, mask = _index_key(seq)
-        self._insert_at(key, mask, seq, rule, premises, rank)
+        self._insert_at(key, mask, rule, premises, seq)
 
-    def _insert_at(self, key: tuple, mask: int, seq: Sequent | None, rule: str,
-                   premises: tuple[int, ...], rank: int) -> None:
-        """Insert the conclusion of bucket ``key`` and mask ``mask``;
-        ``seq`` is that sequent, or None to build it only if it is stored."""
+    def _insert_at(self, key: tuple, mask: int, rule: str, premises: tuple[int, ...],
+                   seq: Sequent | None = None) -> None:
+        """Insert the conclusion of bucket ``key`` and mask ``mask`` through
+        ``Database.insert``; ``seq`` is that sequent, or None to build it
+        only if it is stored."""
         self._counters["generated"] += 1
-        db = self.db
-        if db._subsumer(key, mask, seq) is not None:
+        nid = self.db.insert(key, mask, rule, premises, self.iteration, seq)
+        if nid is None:
             self._counters["forward_subsumed"] += 1
             return
-        if seq is None:
-            seq = _sequent_at(self.u, key, mask)
-        res = db._store(seq, key, mask, rule, premises, self.iteration, rank)
-        self._counters["backward_removed"] += len(res.removed)
-        self._added_now.append(res.node)
-        if seq.regular and seq.rhs == self.u.goal_pos:
+        self._added_now.append(nid)
+        if key[0] and key[1] == self.u.goal_pos:
             # The first: one premise's rules or one set's joins store at
             # most one goal sequent, and the search stops after them.
-            self._goal = res.node
+            self._goal = nid
 
     def insert_axioms(self) -> list[int]:
         self._added_now = []
         for seq in axioms(self.u):
-            self._insert(seq, AX_REG if seq.regular else AX_IRR, (), 0 if seq.regular else -1)
+            self._insert(seq, AX_REG if seq.regular else AX_IRR, ())
         self.last = self._added_now
         self._flush_stats()
         return self.last
@@ -555,6 +553,7 @@ class SearchState:
         return all(m in self.members for m in cs.members)
 
     def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
+        self._counters["backward_removed"] += len(removed)
         for rid, _repl in removed:
             self.members.pop(rid, None)
 
@@ -562,7 +561,7 @@ class SearchState:
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
         for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
-            self._insert_at((True, t), gamma, None, rule, cs.members, cs.needed_rank)
+            self._insert_at((True, t), gamma, rule, cs.members)
 
     # -- one iteration -------------------------------------------------------
 
@@ -600,7 +599,7 @@ class SearchState:
         u = self.u
         seq = node.seq
         for t in u.and_targets.get(seq.rhs, ()):
-            self._insert(retarget(seq, t), RULE_AND, (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_AND, (sid,))
         imps = u.imp_targets.get(seq.rhs)
         if not imps:
             return
@@ -608,19 +607,18 @@ class SearchState:
         for t, a in imps:
             if not (cl >> a) & 1:
                 continue
-            self._insert(retarget(seq, t), RULE_IMP_IN, (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_IMP_IN, (sid,))
             for th in maximal_avoiding(u, cl & u.gbar, a):
-                self._insert(Sequent(u, False, 0, 0, th, t), RULE_IMP_NOTIN, (sid,),
-                             node.rank)
+                self._insert(Sequent(u, False, 0, 0, th, t), RULE_IMP_NOTIN, (sid,))
 
     def _irregular_step(self, sid: int, node: StoreNode) -> None:
         u = self.u
         seq = node.seq
         for t in u.and_targets.get(seq.rhs, ()):
-            self._insert(retarget(seq, t), RULE_AND, (sid,), node.rank)
+            self._insert(retarget(seq, t), RULE_AND, (sid,))
         for t, a in u.imp_targets.get(seq.rhs, ()):
             for lam in minimal_shifts(u, seq.sigma, seq.theta, a):
-                self._insert(shifted(seq, lam, t), RULE_IMP_IN, (sid,), node.rank)
+                self._insert(shifted(seq, lam, t), RULE_IMP_IN, (sid,))
         for t, c1, c2 in u.or_targets:
             if seq.rhs == c1:
                 for pid in sorted(self.db.by_rhs.get(c2, ())):
@@ -630,13 +628,12 @@ class SearchState:
                     self._try_or(pid, sid, t)
 
     def _try_or(self, lid: int, rid: int, t: int) -> None:
-        a = self.store.nodes[lid]
-        b = self.store.nodes[rid]
-        if a.seq.regular or b.seq.regular:
+        a = self.store.nodes[lid].seq
+        b = self.store.nodes[rid].seq
+        if a.regular or b.regular:
             return
-        if covers(a.seq, b.seq) and covers(b.seq, a.seq):
-            self._insert(or_conclusion(a.seq, b.seq, t), RULE_OR, (lid, rid),
-                         max(a.rank, b.rank))
+        if covers(a, b) and covers(b, a):
+            self._insert(or_conclusion(a, b, t), RULE_OR, (lid, rid))
 
     def _flush_stats(self) -> None:
         if self.collect_stats:

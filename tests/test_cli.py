@@ -62,6 +62,17 @@ def test_decide_batch_with_bad_lines_decides_the_rest(tmp_path, capsys):
         "parse error: line 5: expected a formula, found 'end of input' at column 6"]
 
 
+def test_non_ascii_atoms_are_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("p² -> p²\np -> p\npé\nq\n", encoding="utf-8")
+    code, out, err = run(capsys, "decide", str(src))
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines()] == ["valid", "non-valid"]
+    assert err.splitlines() == [
+        "parse error: line 1: unexpected character '²' at column 2",
+        "parse error: line 3: unexpected character 'é' at column 2"]
+
+
 def test_deep_nesting_is_a_parse_error_and_the_batch_goes_on(tmp_path, capsys):
     # Parentheses nested 600 deep, and 3,000 negations and right-nested
     # implications, every one followed by a valid line.  A parenthesis is

@@ -1,12 +1,13 @@
 import pytest
 
-from ipldecide.countermodel import (NotACountermodel, NotARegularRoot,
+from ipldecide.countermodel import (ExtractedModel, NotACountermodel, NotARegularRoot,
                                     _world_masks, derivation_from_model,
                                     extract_model, find_soundness_violation,
-                                    rank, soundness_audit)
+                                    is_world_node, rank, soundness_audit)
 from ipldecide.formula import IMP, build_universe, iter_bits, parse, to_text
+from ipldecide.generate import nishimura, random_formulas
 from ipldecide.kripke import KripkeModel, check_countermodel, forces, height
-from ipldecide.search import DerivationStore, fsearch
+from ipldecide.search import JOIN_AT, JOIN_OR, DerivationStore, fsearch
 
 from conftest import ANTI_SCOTT, KP, SCOTT, texts
 from test_kripke import assert_forcing_persists, scott_hand_model
@@ -16,6 +17,11 @@ def proof_of(text, **kw):
     out = fsearch(parse(text), **kw)
     assert out.is_proof
     return out
+
+
+# The first 150 formulas of the benchmark's random-mixed corpus, and ladders
+# 1-16.
+CORPUS = random_formulas(2026, 3, 12, 150) + [nishimura(i) for i in range(1, 17)]
 
 
 # -- extraction ---------------------------------------------------------------
@@ -78,6 +84,78 @@ def test_extraction_is_monotone_and_phi_respects_derivation_order():
                     assert ex.model.leq(ex.phi[nid], ex.phi[p])
 
 
+def reference_extract_model(store, root):
+    """``extract_model`` before the one-pass extraction: ancestor sets per
+    node, a loop over world pairs, and a walk to each regular node's world
+    (the reference)."""
+    def phi_walk(nid):
+        node = store.nodes[nid]
+        while not is_world_node(node):
+            nid = node.premises[0]
+            node = store.nodes[nid]
+        return nid
+
+    node = store.nodes[root]
+    if not node.seq.regular:
+        raise NotARegularRoot(node.seq.render())
+    nodes = store.ancestors(root)
+    world_nodes = tuple(sorted(n for n in nodes if is_world_node(store.nodes[n])))
+    windex = {n: i for i, n in enumerate(world_nodes)}
+    anc = {}
+    for nid in sorted(nodes):
+        s = set()
+        for p in store.nodes[nid].premises:
+            s.add(p)
+            s |= anc[p]
+        anc[nid] = s
+    u = store.u
+    up = []
+    for wn in world_nodes:
+        mask = 0
+        for other in world_nodes:
+            if other == wn or other in anc[wn]:
+                mask |= 1 << windex[other]
+        up.append(mask)
+    valuation = []
+    for wn in world_nodes:
+        seq = store.nodes[wn].seq
+        valuation.append(frozenset(
+            u.sf[i].name for i in iter_bits(seq.lhs & u.var_mask)))
+    phi = {nid: windex[phi_walk(nid)] for nid in nodes if store.nodes[nid].seq.regular}
+    model = KripkeModel(up, phi[root], valuation, labels=world_nodes)
+    return ExtractedModel(model, phi, world_nodes)
+
+
+def _extraction_fields(ex):
+    m = ex.model
+    return ex.world_nodes, m.labels, m.up, m.valuation, ex.phi, m.root
+
+
+# Goals whose derivations hold a regular sequent whose world is not the
+# last world sequent before it in id order.
+INTERLEAVED_WORLDS = [parse(text) for text in (
+    "(p4 -> p2 & p2) | ((p4 -> p2) & ~(p2 | p3) | ~p2)",
+    "(~p1 -> ~(p1 -> p4 & p1)) | (p4 & p1 & (p4 & p4) & (p4 | (p1 | ~(false | p3))) -> ~p2)")]
+
+
+def test_one_pass_extraction_matches_the_ancestor_sets():
+    # Search stores, and the stores rebuilt from their models.
+    extracted = 0
+    for goal in CORPUS + INTERLEAVED_WORLDS:
+        for min_height in (False, True):
+            out = fsearch(goal, min_height=min_height)
+            if not out.is_proof:
+                continue
+            for store, root in ((out.store, out.root),
+                                derivation_from_model(extract_model(out.store, out.root).model,
+                                                      goal)):
+                assert (_extraction_fields(extract_model(store, root))
+                        == _extraction_fields(reference_extract_model(store, root))), \
+                    (to_text(goal), min_height)
+                extracted += 1
+    assert extracted > 400
+
+
 def test_extracted_height_is_bounded_by_goal_size():
     for text in (SCOTT, ANTI_SCOTT, KP, "p", "p | ~p"):
         out = proof_of(text)
@@ -86,6 +164,53 @@ def test_extracted_height_is_bounded_by_goal_size():
 
 
 # -- rank -----------------------------------------------------------------------
+
+def reference_rank(store, nid, memo=None):
+    """``rank`` before the store assigned ranks: the join depth recomputed
+    over the stored derivation, irregular axioms counting -1, regular axioms
+    0, each join adding one on the deepest path (the reference).  ``memo``
+    may be shared between calls on one store."""
+    memo = {} if memo is None else memo
+
+    def r(n):
+        if n in memo:
+            return memo[n]
+        node = store.nodes[n]
+        if not node.premises:
+            memo[n] = 0 if node.seq.regular else -1
+        else:
+            bump = 1 if node.rule in (JOIN_AT, JOIN_OR) else 0
+            memo[n] = max(r(p) for p in node.premises) + bump
+        return memo[n]
+
+    return r(nid)
+
+
+def assert_ranks_are_the_join_depths(store):
+    memo = {}
+    for nid, node in enumerate(store.nodes):
+        assert node.rank == rank(store, nid) == reference_rank(store, nid, memo), nid
+
+
+def test_stored_ranks_are_the_recursive_join_depths():
+    # The store assigns every node its rank as it is added; the recursion
+    # over the stored derivation agrees, on search stores under every
+    # strategy and on the stores rebuilt from their countermodels.
+    rebuilt = 0
+    for goal in CORPUS:
+        for min_height in (False, True):
+            for backward_subsumption in (True, False):
+                out = fsearch(goal, min_height=min_height,
+                              backward_subsumption=backward_subsumption)
+                assert_ranks_are_the_join_depths(out.store)
+                if out.is_proof:
+                    model = extract_model(out.store, out.root).model
+                    store, root = derivation_from_model(model, goal)
+                    assert_ranks_are_the_join_depths(store)
+                    assert rank(store, root) <= height(model)
+                    rebuilt += 1
+    assert rebuilt > 500
+
 
 def test_rank_of_axioms():
     out = proof_of("p")
@@ -103,8 +228,8 @@ def test_rank_equals_extracted_height():
         ex = extract_model(out.store, out.root)
         r = rank(out.store, out.root)
         assert r == expected == height(ex.model)
-        # The cached rank from the search agrees with the recomputation.
-        assert out.store.nodes[out.root].rank == r
+        # The rank the store assigned agrees with the recomputation.
+        assert reference_rank(out.store, out.root) == r
 
 
 # -- soundness audit ---------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_parse_errors_carry_position():
     assert err2.value.line == 2
 
 
+def test_atoms_are_ascii_names():
+    # Atoms are [a-z][A-Za-z0-9_]*: a letter or digit outside ASCII, or an
+    # upper-case first letter, is an unexpected character at its own column.
+    assert parse("aB_9 -> x1").left.name == "aB_9"
+    for text, col in (("é", 1), ("pé", 2), ("p٣", 2), ("p²", 2), ("p² -> p²", 2),
+                      ("q -> Ab", 6)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+        assert err.value.message == f"unexpected character {text[col - 1]!r}", text
+
+
 def test_chains_are_capped_by_height_not_by_length():
     # A chain of 101 operands is 100 high and parses; the next operator
     # makes it too high.  Chains stacked in parentheses add up, so two

@@ -380,7 +380,8 @@ def test_folded_join_parts_match_the_premise_list(seed, nvars, rng):
     for i, extra in enumerate(seqs):
         rest = seqs[:i] + seqs[i + 1:]
         base = JoinParts(rest)
-        folded = JoinParts([extra], base)
+        folded = JoinParts([extra])
+        folded.fold(base, extra)
         assert _join_fields(folded, u) == _join_fields(whole, u)
         assert ([getattr(folded, name) for name in aggregates]
                 == [getattr(whole, name) for name in aggregates])

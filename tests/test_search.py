@@ -11,9 +11,9 @@ from ipldecide.formula import GoalUniverse, build_universe, iter_bits, parse, to
 from ipldecide.generate import nishimura, random_formula, random_formulas
 from ipldecide.kripke import check_countermodel, height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
-from ipldecide.search import (AX_IRR, Database, InsertResult,
-                              IterationBudgetExceeded, JoinCandidateSet,
-                              SearchOutcome, SearchState, fsearch, minimum_compact)
+from ipldecide.search import (AX_IRR, Database, IterationBudgetExceeded,
+                              JoinCandidateSet, SearchOutcome, SearchState, fsearch,
+                              minimum_compact)
 
 from conftest import (E_IRREGULAR_LINES, SCOTT, SCOTT_LINES, VALID_E, iseq,
                       rseq, sequent_of_line)
@@ -61,44 +61,57 @@ def test_budget_below_fixpoint_raises(scott_u):
 
 # -- insert ---------------------------------------------------------------------
 
+def put(db, seq, rule, premises=()):
+    """``Database.insert`` of the sequent ``seq``: its node id, or None."""
+    key, mask = search._index_key(seq)
+    return db.insert(key, mask, rule, premises, seq=seq)
+
+
+def removal_log(db):
+    """The ``(retired id, replacement id or None)`` pairs ``db`` reports."""
+    removed = []
+    db.removal_listeners.append(removed.extend)
+    return removed
+
+
 def test_insert_duplicate_is_forward_subsumed(valid_e_u):
     db = Database(valid_e_u)
     s = rseq(valid_e_u, ["p"], "q1")
-    assert db.insert(s, AX_IRR).status == InsertResult.ADDED
-    again = db.insert(s, AX_IRR)
-    assert again.status == InsertResult.FORWARD_SUBSUMED
+    nid = put(db, s, AX_IRR)
+    assert nid is not None and db.entries == {nid}
+    assert put(db, s, AX_IRR) is None
 
 
 def test_insert_smaller_left_side_is_forward_subsumed():
     u = build_universe(parse("(p & r) -> q"))
     db = Database(u)
-    db.insert(rseq(u, ["p", "r"], "q"), "seed")
-    res = db.insert(rseq(u, ["p"], "q"), "seed")
-    assert res.status == InsertResult.FORWARD_SUBSUMED
+    put(db, rseq(u, ["p", "r"], "q"), "seed")
+    assert put(db, rseq(u, ["p"], "q"), "seed") is None
 
 
 def test_insert_backward_cascade_removes_consequences():
     # A two-step chain hanging off the weaker entry disappears with it.
     u = build_universe(parse("(x & a & b) -> ((q | q) & q)"))
     db = Database(u, compact_mode=True)
-    weak = db.insert(iseq(u, ["x"], ["a"], "q"), "seed")
-    c1 = db.insert(iseq(u, ["x"], ["a"], "q | q"), "or",
-                   (weak.node, weak.node))
-    c2 = db.insert(iseq(u, ["x"], ["a"], "(q | q) & q"), "and", (c1.node,))
-    res = db.insert(iseq(u, ["x"], ["a", "b"], "q"), "seed")
-    assert res.status == InsertResult.BACKWARD_REPLACED
-    assert set(res.removed) == {weak.node, c1.node, c2.node}
-    assert db.entries == {res.node}
+    removed = removal_log(db)
+    weak = put(db, iseq(u, ["x"], ["a"], "q"), "seed")
+    c1 = put(db, iseq(u, ["x"], ["a"], "q | q"), "or", (weak, weak))
+    c2 = put(db, iseq(u, ["x"], ["a"], "(q | q) & q"), "and", (c1,))
+    assert not removed
+    new = put(db, iseq(u, ["x"], ["a", "b"], "q"), "seed")
+    assert removed == [(weak, new), (c1, None), (c2, None)]
+    assert db.entries == {new}
     # The store keeps the tombstoned nodes replayable.
-    assert db.store.nodes[c2.node].premises == (c1.node,)
+    assert db.store.nodes[c2].premises == (c1,)
 
 
 def test_insert_without_compact_mode_keeps_subsumed_entries():
     u = build_universe(parse("(p & r) -> q"))
     db = Database(u, compact_mode=False)
-    a = db.insert(rseq(u, ["p"], "q"), "seed")
-    b = db.insert(rseq(u, ["p", "r"], "q"), "seed")
-    assert a.status == b.status == InsertResult.ADDED
+    removed = removal_log(db)
+    a = put(db, rseq(u, ["p"], "q"), "seed")
+    b = put(db, rseq(u, ["p", "r"], "q"), "seed")
+    assert None not in (a, b) and not removed
     assert len(db) == 2
 
 
@@ -329,9 +342,9 @@ class LinearScanDatabase(Database):
                 return e
         return None
 
-    def _store(self, seq, key, mask, rule, premises, iteration, rank):
+    def _store(self, seq, key, mask, rule, premises, iteration):
         same_rhs = self.by_rhs.get(seq.rhs)
-        nid = self.store.add(seq, rule, premises, iteration, rank)
+        nid = self.store.add(seq, rule, premises, iteration)
         self.entries.add(nid)
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
         removed = []
@@ -351,9 +364,7 @@ class LinearScanDatabase(Database):
         if removed:
             for listener in self.removal_listeners:
                 listener(removed)
-            return InsertResult(InsertResult.BACKWARD_REPLACED, node=nid,
-                                removed=tuple(e for e, _ in removed))
-        return InsertResult(InsertResult.ADDED, node=nid)
+        return nid
 
 
 def linear_minimum_compact(db):
@@ -408,8 +419,8 @@ def test_subsumption_index_matches_the_linear_scan(compact_mode, ops, queries):
         seq = _index_sequent(regular, rhs, sigma, bits)
         n = len(dbs[0].store)
         premises = tuple(p % n for p in prem) if n else ()
-        new, old = (db.insert(seq, "seed", premises) for db in dbs)
-        assert (new.status, new.node, new.removed) == (old.status, old.node, old.removed)
+        new, old = (put(db, seq, "seed", premises) for db in dbs)
+        assert new == old
         assert calls[0] == calls[1]
         assert dbs[0].entries == dbs[1].entries
         assert dbs[0].dump(annotated=True) == dbs[1].dump(annotated=True)
@@ -744,6 +755,62 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
             fsearch(goal, min_height=min_height)
             runs += len(retired) > before
         assert runs >= 20, min_height
+
+
+def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
+    # The store ranks a join conclusion one above its deepest premise, which
+    # is the rank the walk gave the set when it built it.
+    fire = SearchState._fire
+    ranks = []
+
+    def checked_fire(self, cs):
+        start = len(self.store)
+        fire(self, cs)
+        for node in self.store.nodes[start:]:
+            assert node.rule in search.JOIN_RULES and node.premises == cs.members
+            assert node.rank == cs.needed_rank, cs.members
+            ranks.append(node.rank)
+
+    monkeypatch.setattr(SearchState, "_fire", checked_fire)
+    goals = random_formulas(2026, 3, 12, 150) + [nishimura(i) for i in range(1, 17)]
+    for goal in goals:
+        for min_height in (False, True):
+            fsearch(goal, min_height=min_height)
+    assert len(ranks) > 500 and max(ranks) >= 3
+
+
+def test_a_rederived_sequent_keeps_its_first_derivation(monkeypatch):
+    # A sequent that backward subsumption retired can be derived again by
+    # another rule instance, whose derivation may have another join depth.
+    # The store hands back the node it holds, with its id, premises and
+    # rank: the first derivation stays the one on record.
+    add = search.DerivationStore.add
+    rederived = []
+
+    def checked_add(self, seq, rule, premises, iteration):
+        nid = self.by_key.get(seq.key)
+        if nid is None:
+            return add(self, seq, rule, premises, iteration)
+        node = self.nodes[nid]
+        first = (node.rule, node.premises, node.rank)
+        depth = (max(self.nodes[p].rank for p in premises)
+                 + (rule in search.JOIN_RULES))
+        assert add(self, seq, rule, premises, iteration) == nid
+        assert (node.rule, node.premises, node.rank) == first
+        rederived.append((node.rule, node.rank, rule, depth))
+        return nid
+
+    monkeypatch.setattr(search.DerivationStore, "add", checked_add)
+    # An "or" node of rank 0 derived again at rank -1, under both settings.
+    goal = random_formulas(78, 5, 44, 500)[445]
+    for min_height in (False, True):
+        rederived.clear()
+        fsearch(goal, min_height=min_height)
+        assert ("or", 0, "or", -1) in rederived, min_height
+    # An "imp-notin" node of rank 0 derived again at rank 1.
+    rederived.clear()
+    fsearch(random_formulas(77, 4, 40, 1500)[133])
+    assert ("imp-notin", 0, "imp-notin", 1) in rederived
 
 
 # Minimal countermodel heights of nishimura(1..18).
