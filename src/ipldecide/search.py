@@ -24,8 +24,12 @@ only by an irregular one with the same right side and stable part and a
 losable part holding its own.  So the database keeps one bucket per
 ``(True, rhs)`` and per ``(False, rhs, sigma)``, and grades each bucket by
 the size of that mask.  Forward subsumption looks up the exact mask and
-scans only the larger grades; backward subsumption scans only the smaller
-ones.  Within a bucket, mask inclusion is subsumption, so the forward query
+the larger grades.  Every stored mask lies inside ``gbar``, so the grade one
+larger holds a superset exactly when it holds the mask plus one bit of
+``gbar`` outside it; when that grade holds more masks than there are such
+bits, the query probes for them instead of scanning it, and it scans every
+other larger grade.  Backward subsumption scans only the smaller grades.
+Within a bucket, mask inclusion is subsumption, so the forward query
 runs on a bucket key and a mask; storing is that query plus one store tail.
 A join conclusion and the regular sequents the walk bounds below query are
 given as masks, and a ``Sequent`` is built only for a conclusion that is
@@ -37,27 +41,35 @@ Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
 right side admissible as a join participant (it must occur as an
 antecedent on the left of the goal, or as a disjunct on the right).  No
-set is stored.  Each new premise starts a depth-first walk from its
-singleton set over the older live premises that set admits: for each
-candidate in turn it walks the extension by that candidate over the
-earlier candidates the extension admits, and fires the set itself last,
-so every set is built once, from its base set in constant time, with the
-aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
-stable parts, the intersection of its left sides, its common losable part
-and the implications its right sides support); its rank is the larger of
-the base's and the new premise's rank plus one.  An unsupported set never
-fires; only its extensions by a supporting premise can.  A candidate
-retired before the walk reaches it is skipped, but no member of a set
-retires while the walk is below that set, because the sequent weight
-(``rules.weight``) strictly drops from each premise to its conclusion.  A
-conclusion J that strictly subsumes an entry D holds D's right side and
-at least its left side, so weight(D) <= weight(J); every entry the
-cascade then retires derives from D, so weighs at most weight(D); and
-each premise m of J's rule instance weighs more than J.  So the cascade
-never reaches m, and as every set fired below a set holds its members,
-none of them retires during its walk.  The walk of each new premise ends
-before the next premise is added, so sets that would only be built after
-the goal is found never are.
+set is stored.  An iteration registers all its new premises as members,
+oldest first, and then starts a depth-first walk from each, newest first:
+from the premise's singleton set over the live members registered before
+it that the set admits.  The walk visits those candidates newest first;
+for each it walks the extension by that candidate over the candidates
+before it that the extension admits, and fires the set itself last.  So
+every set is walked once, from its newest member, and built once, from
+its base set in constant time, with the aggregate masks of
+``rules.JoinParts`` (its right sides, the union of its stable parts, the
+intersection of its left sides, its common losable part and the
+implications its right sides support); its rank is the larger of the
+base's and the new premise's rank plus one.  The sets of an iteration fire
+in descending order of their member lists, each sorted newest first, so
+every set fires after each superset of it that fires: where a superset's
+conclusion subsumes a subset's, the subset's is forward subsumed instead
+of stored and then retired.  An unsupported set never fires; only its
+extensions by a supporting premise can.  A candidate retired before the
+walk reaches it is skipped, and so is a premise retired before its walk
+starts, but no member of a set retires while the walk is below that set,
+because the sequent weight (``rules.weight``) strictly drops from each
+premise to its conclusion.  A conclusion J that strictly subsumes an
+entry D holds D's right side and at least its left side, so weight(D) <=
+weight(J); every entry the cascade then retires derives from D, so weighs
+at most weight(D); and each premise m of J's rule instance weighs more
+than J.  So the cascade never reaches m, and as every set fired below a
+set holds its members, none of them retires during its walk.  A
+premise's singleton set and its candidates are built only when its walk
+starts, so the walks after the one that stores a goal sequent build
+nothing.
 
 Before descending into a set ``S`` that has candidates, the walk bounds
 every set below it.  A set ``T`` below holds ``S`` and some candidates, so
@@ -84,20 +96,21 @@ is the one the full walk would leave.
 The minimal-height strategy delays joins.  A walk that reaches a set of
 join rank above the current wave stops there and defers the set together
 with its candidates: a rank only grows along a walk, so no set below it
-could fire at this wave.  Once everything else has saturated, the wave
-increases, and each deferred set whose members are all still live is
-walked again, over its candidates that are still live, with both bounds
-read against the database as it stands then; a set still above the new
-wave is deferred again.  So every set fires through a walk.  The support
-bound is exact under the strategy too, as an unsupported set fires at no
-wave.  The subsumption bound reads the database now, while a deferred set
-fires later, when a backward-subsumption cascade (which retires consumers
-without a replacement) may have taken away what subsumes its conclusions
-now.  So under the strategy the bound only skips a subtree whose
-candidates all rank below the wave: every set below then ranks at or
-under it and fires in this walk.  The first wave at which a goal sequent
-appears is then the least possible join depth, i.e. the minimal
-countermodel height.
+could fire at this wave.  Deferred sets wait in descending order, as each
+iteration's go before those of earlier ones.  Once everything else has
+saturated, the wave increases, and each deferred set whose members are
+all still live is walked again, in that order, over its candidates that
+are still live, with both bounds read against the database as it stands
+then; a set still above the new wave is deferred again.  So every set
+fires through a walk.  The support bound is exact under the strategy too,
+as an unsupported set fires at no wave.  The subsumption bound reads the
+database now, while a deferred set fires later, when a
+backward-subsumption cascade (which retires consumers without a
+replacement) may have taken away what subsumes its conclusions now.  So
+under the strategy the bound only skips a subtree whose candidates all
+rank below the wave: every set below then ranks at or under it and fires
+in this walk.  The first wave at which a goal sequent appears is then the
+least possible join depth, i.e. the minimal countermodel height.
 """
 
 from __future__ import annotations
@@ -293,6 +306,19 @@ class Database:
             return None
         k = mask.bit_count()
         for size, group in grades.items():
+            if size == k + 1:
+                # Every stored mask lies inside ``gbar``, so a superset one
+                # larger is ``mask`` plus one bit of ``free``: when the grade
+                # holds more masks than that, probe for them instead.
+                free = self.u.gbar & ~mask
+                if len(group) > free.bit_count():
+                    while free:
+                        bit = free & -free
+                        e = group.get(mask | bit)
+                        if e is not None:
+                            return self._confirmed(e, key, mask, seq)
+                        free ^= bit
+                    continue
             if size > k:
                 for m in group:
                     if m & mask == mask:
@@ -451,7 +477,7 @@ class SearchState:
         self._added_now: list[int] = []
         self._counters = dict.fromkeys(_COUNTERS, 0)
 
-        self.members: dict[int, None] = {}  # walked join premises still live, oldest first
+        self.members: dict[int, None] = {}  # join premises still live, oldest registered first
         self.blocked: list[tuple[JoinCandidateSet, list[int]]] = []  # deferred walks
         self.db.removal_listeners.append(self._on_removed)
 
@@ -487,27 +513,43 @@ class SearchState:
 
     # -- join candidate sets -------------------------------------------------
 
-    def _add_candidate_member(self, nid: int) -> None:
-        seq = self.store.nodes[nid].seq
-        if nid in self.members or not (self.u.ps4_mask >> seq.rhs) & 1:
-            return
-        cs = JoinCandidateSet(self.store, (nid,))
-        self._counters["candidate_sets"] += 1
-        cands = [m for m in self.members if cs.admits(self.store.nodes[m].seq)]
-        self.members[nid] = None
-        if self.rng is not None:
-            self.rng.shuffle(cands)
-        self._walk(cs, cands)
+    def _add_candidate_members(self, premises: list[int]) -> None:
+        """Register the join premises among ``premises`` (live irregular
+        sequents) as members, in their order, then walk from each still
+        live, the last first: from its singleton set over the members
+        registered before it that the set admits."""
+        nodes, members = self.store.nodes, self.members
+        new = []
+        for nid in premises:
+            if nid not in members and (self.u.ps4_mask >> nodes[nid].seq.rhs) & 1:
+                members[nid] = None
+                new.append(nid)
+        for nid in reversed(new):
+            if self._goal is not None:
+                return
+            if nid not in members:
+                continue
+            cs = JoinCandidateSet(self.store, (nid,))
+            self._counters["candidate_sets"] += 1
+            cands = []
+            for m in members:
+                if m == nid:
+                    break
+                if cs.admits(nodes[m].seq):
+                    cands.append(m)
+            if self.rng is not None:
+                self.rng.shuffle(cands)
+            self._walk(cs, cands)
 
     def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
         """Fire ``cs`` (all of whose members are live) and every set that
-        extends it by some of ``cands``: for each candidate still live in
-        turn, the extension by it and the extensions of that by earlier
-        candidates, then ``cs`` itself; skip them all when ``_subsumed``
-        shows they would insert nothing, and defer them all to a later wave
-        when ``cs`` is above the current one.  No fire below ``cs`` retires
-        a member of ``cs`` (the weight lemma of the module docstring), so
-        ``cs`` stays live throughout."""
+        extends it by some of ``cands``: for each candidate still live, the
+        last first, the extension by it and the extensions of that by the
+        candidates before it, then ``cs`` itself; skip them all when
+        ``_subsumed`` shows they would insert nothing, and defer them all to
+        a later wave when ``cs`` is above the current one.  No fire below
+        ``cs`` retires a member of ``cs`` (the weight lemma of the module
+        docstring), so ``cs`` stays live throughout."""
         if self.min_height and cs.needed_rank > self.cap:
             self.blocked.append((cs, cands))
             return
@@ -516,9 +558,10 @@ class SearchState:
             return
         nodes = self.store.nodes
         members = self.members
-        for j, c in enumerate(cands):
+        for j in range(len(cands) - 1, -1, -1):
             if self._goal is not None:
                 return
+            c = cands[j]
             if c in members:
                 ext = JoinCandidateSet(self.store, tuple(sorted(cs.members + (c,))), cs, c)
                 self._counters["candidate_sets"] += 1
@@ -567,10 +610,10 @@ class SearchState:
 
     def step(self) -> list[int]:
         """Apply every instance with a premise from the last iteration, then
-        add each new irregular premise to the join candidates and fire the
-        sets it completes before the next one is added; returns the ids of
-        the conclusions that survived subsumption.  Stops at the first
-        stored goal sequent."""
+        register the new irregular premises as join members and walk from
+        each, newest first, firing every set after its supersets; returns
+        the ids of the conclusions that survived subsumption.  Stops at the
+        first stored goal sequent."""
         self.iteration += 1
         self._added_now = []
         order = list(self.last)
@@ -586,11 +629,13 @@ class SearchState:
                 self._regular_step(sid, node)
             else:
                 self._irregular_step(sid, node)
-        for sid in order:
-            if self._goal is not None:
-                break
-            if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
-                self._add_candidate_member(sid)
+        if self._goal is None:
+            deferred = len(self.blocked)
+            self._add_candidate_members([sid for sid in order if sid in self.db.entries
+                                         and not self.store.nodes[sid].seq.regular])
+            # Keep the deferred sets in descending order: this step's each
+            # hold a member newer than any deferred before.
+            self.blocked = self.blocked[deferred:] + self.blocked[:deferred]
         self.last = self._added_now
         self._flush_stats()
         return self.last

@@ -10,7 +10,12 @@ extracted countermodel's world count and height.
 A second table pins the certificates of the valid goals: per valid goal of
 the chains, the random corpus and ``conftest.G3I_CONSUMED_ANTECEDENT``, the
 G3i text of ``to_g3i(bsearch(db))`` and the critical choices ``bsearch``
-took.  Regenerate both tables with
+took.  A third table pins the saturated databases of the valid goals: per
+valid goal of the chains 4-10 and the random corpus, ``db.dump()`` and
+``minimum_compact(db).dump()`` under the default flags and under minimal
+height.  They do not depend on the order in which rule instances and join
+sets fire, so a change of that order keeps this table while re-pinning the
+first.  Regenerate all three tables with
 ``PYTHONPATH=src python tests/test_fingerprints.py``.
 """
 
@@ -65,29 +70,29 @@ def _digest(goals, min_height):
 
 
 DIGESTS = {
-    "chain4": "831b9c89f3a37e9f5ced4628c7c08ff18bb76cd38b99994407a002e9ffe1e22f",
-    "chain5": "66bb74660d4f7e4251fc1d1e1a51733af0e046807d0cec9db0c842f0a2bf2e88",
-    "chain6": "da6e3d17983b9571dfe20bbf686a90d8ec2c710b850129ebc408d520f7ba5978",
-    "chain7": "1c319baef9e2e0ac9fbde55d645c5bdc535b68e306202a379fa0fa7cdde339a4",
-    "chain8": "54848768b2909b476c6065cbd5df7351aa8d7f6ea0bfb2cc453fe6aee512db2f",
+    "chain4": "3bd7e0c5e54ef221aaac5f7efcf673d0e5ba5e5fdcc85d102ae16bc84d72d3aa",
+    "chain5": "bcc2455efb5e4885feaa38de7fac2b6d866df441f541c449df20e114c8d7181a",
+    "chain6": "983a4ccbb961ca465c6b003ab0afff853e5d689fdbe994af5930389251fd7a61",
+    "chain7": "d0518323759eec2a61f0ae6c835e5bd125332056cce160015feb6321e3dd7204",
+    "chain8": "06e88db0372d24fabe22cc193ba85307c42f2eb46bc72c8442acf409ada503cb",
     "ladder1": "d87ab0fe609768ac78bc55a4ae6311e439eaedea2c0e10b7b5e1ad35b75a3669",
     "ladder2": "f46d75e3282b1b25e35d1c5bfc33b87d23cb9d28b56dba2bea2d47aeeeda57f0",
     "ladder3": "96fb8998bedf8c99220616f063796d92cd0a000aba7d10623407d18223732038",
     "ladder4": "0e48dcb5caa06f0ac74047d819c458282559aa78b4835de81b28739c6c21f6ba",
-    "ladder5": "a16109d05ee81a38607b6954c395ecc7a49ff5ccda4d236f426e2bc1b70364ce",
-    "ladder6": "5278625bc9768ce28afd5f28f00365cb6c67664f1a760643b804be99de656467",
-    "ladder7": "b8ed2b926778571e6e9516d6cef5fbfe5b5cf3cc52f75a3ce2d25a43a1627e34",
-    "ladder8": "c0dff1825cf767080ccc7df3327a2d8ea6a598ad80aae2ab7831d9fb49226baf",
-    "ladder9": "f9388733e24f384e8d0e97a2bde2f42c50be27e3846dd3a99be5bfe668dcdcf7",
-    "ladder10": "3cb1006c974b2662782de7a4c3b48fde9a9480fa197462e4e6635694028454a6",
-    "ladder11": "6cdc71d0903f1e22709346968cce51008b2dbd8afaa34dffa32ef80b85a02668",
-    "ladder12": "3ed64a07c838c2b8ad09147893d38db2630f665f8a7ad387a54dd7fce509382c",
-    "random0-24": "7e67b187887afc7c5f27be6ca57e97332c6dec98f7ece419ef93b1af2df57b8b",
-    "random25-49": "1f70b2ba8af390a78e7a1f98949161365d1ba07ca0d834779623c2cb6be3f3d4",
-    "random50-74": "b6cd3a8aeb4b7c3bb0df75fb54eb6c71f579ec02a68f058b2ce4e014a758f118",
-    "random75-99": "f9fdc918ab7decb500344757f7fd7745ccb73b46a246f3cfe419de7f652b740b",
-    "random100-124": "a5e6263a5ccab3ce349e6ea2d1a4c5b9a6cd6355ccd52e99ab87a5e9bea93bd6",
-    "random125-149": "30df8128d614812f34fa65a2202db237dc2eca751f0a66fe1d6acb83a10fefa4",
+    "ladder5": "a567e60b13fda73d3971403a3af65c82df2196f5a9c18f146ef62276dbe2e69f",
+    "ladder6": "a7c89ba1e0b4519bde1b9e0c9f56b7882679e8323b41b5d6528df8203412ef54",
+    "ladder7": "145c39f703e9b7d55bc3b4f0a2d37b2f78c56568ca35b4a8f72490900ae5189d",
+    "ladder8": "ff9208091b5f927db937551a2c36da8838344513604b266c96f04592c3fb9bf2",
+    "ladder9": "7f72d3425573d17e153f06b73f24fab1be3f49680a6ee3a99327fdd009ccaed7",
+    "ladder10": "365b9fba636f1276cd74db8352f5d5234c6183742839eedb972374d956a09251",
+    "ladder11": "a238c1be41e0fcca482eb4b6cedb94f7198b3fbd7ae6ee952c1d359102b402ed",
+    "ladder12": "74461f59da470d8319788006db0f431d4def8e98a4407d0a644a0628adbfa034",
+    "random0-24": "0c3a2a99dff8900bb024f8683ad6eaee7c6f2e06b24eaed008ce618e44b9d04f",
+    "random25-49": "30cc9621dd99ef75971a6e93e896c8beca1ffabe5e28438f419e40f60851deda",
+    "random50-74": "808970910efa1c0633dceb6ecffeaf33faa223ef1e4921583266bc23f8ecabc7",
+    "random75-99": "aff123c33141a6499d6ad54f818ed9ea796042472be7b2f199d649f25346b789",
+    "random100-124": "1d7da60a34b1b07e1a7866bd603a4917e3147756a9ade36587ee7bc42c39b809",
+    "random125-149": "436a0741e82427c90b7f49c787613932172bbc2abd3910b7cd7c941021c3ba16",
 }
 
 
@@ -135,8 +140,51 @@ CERTIFICATE_DIGESTS = {
 }
 
 
+def _compact_dumps(goal):
+    """The saturated and the minimum compact database of a valid goal,
+    without and with minimal height; None for a goal that is not valid."""
+    parts = []
+    for min_height in (False, True):
+        out = fsearch(goal, min_height=min_height)
+        if out.is_proof:
+            return None
+        parts += [out.db.dump(), minimum_compact(out.db).dump()]
+    return "\x00".join(parts)
+
+
+def _compact_dump_digest(goals):
+    text = "\x01".join(c for c in map(_compact_dumps, goals) if c is not None)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _compact_dump_groups():
+    """(label, goals): the certificate groups of the chains and the random
+    corpus, and chains 9 and 10."""
+    groups = [(label, goals) for label, goals in _certificate_groups()
+              if label.startswith(("chain", "random"))]
+    return groups + [(f"chain{n}", [_chain(n)]) for n in (9, 10)]
+
+
+COMPACT_DUMP_DIGESTS = {
+    "chain4": "3b60099e2c4ac5e0be2bd22a17937b7ad63f6224648f47b16e5f232703efde3c",
+    "chain5": "06e05303c4e2eb4fb953a88462158ab0a623a58fe5552be950d0188f68dcbe89",
+    "chain6": "c79ac44c1d7534e8027798c9fa4fce507a6f86184a2417f48796e5ce8fbd202f",
+    "chain7": "69f620373cca7c9750cf85a1828964acbc33e79a9139981fcd1d4a5053988c1b",
+    "chain8": "25c2cdc2e0004286f20539279313a9cee9e78c76ff309962a046a82103eeedca",
+    "random0-24": "34053286962e4d4a75e1d31a4b37a52c935da55c34a98e32ea95dba045ed2322",
+    "random25-49": "bb592c823edf6a735070bf7190dff4ad0691292448facdfff34e426397f30897",
+    "random50-74": "88b6ee7b448edb094f0e529227db99da98ad3f311eaa252db0a7725af013cecc",
+    "random75-99": "eeeada30c130fe0cd9cb586680ef5f110aefde670dfa688f72477540c926ac40",
+    "random100-124": "e3f7977e234b1a5b3875ac8244459bd2f54e51d56c4a77c7b838f53d21ff84aa",
+    "random125-149": "3001f907823119046fdfa7839cf1e199fff34b38e2b163d7ba27f675db22d172",
+    "chain9": "b78c0e5ac34a5ccc684c24bf942a9ba57284217c4a83b9e83fd42768620985f5",
+    "chain10": "849bd04a3c5632ae9ebecea8a4f5ea1e71d0d4706fc4194be6b4bc10169f8ad1",
+}
+
+
 GROUPS = _groups()
 CERTIFICATE_GROUPS = _certificate_groups()
+COMPACT_DUMP_GROUPS = _compact_dump_groups()
 
 
 @pytest.mark.parametrize("label,goals,min_height", GROUPS, ids=[g[0] for g in GROUPS])
@@ -150,6 +198,12 @@ def test_certificates_match_the_pinned_digest(label, goals):
     assert _certificate_digest(goals) == CERTIFICATE_DIGESTS[label]
 
 
+@pytest.mark.parametrize("label,goals", COMPACT_DUMP_GROUPS,
+                         ids=[g[0] for g in COMPACT_DUMP_GROUPS])
+def test_saturated_databases_match_the_pinned_digest(label, goals):
+    assert _compact_dump_digest(goals) == COMPACT_DUMP_DIGESTS[label]
+
+
 if __name__ == "__main__":
     print("DIGESTS = {")
     for label, goals, min_height in GROUPS:
@@ -158,4 +212,8 @@ if __name__ == "__main__":
     print("CERTIFICATE_DIGESTS = {")
     for label, goals in CERTIFICATE_GROUPS:
         print(f'    "{label}": "{_certificate_digest(goals)}",')
+    print("}")
+    print("COMPACT_DUMP_DIGESTS = {")
+    for label, goals in COMPACT_DUMP_GROUPS:
+        print(f'    "{label}": "{_compact_dump_digest(goals)}",')
     print("}")

@@ -438,6 +438,60 @@ def test_subsumption_index_matches_the_linear_scan(compact_mode, ops, queries):
             == linear_minimum_compact(dbs[1]).dump(annotated=True))
 
 
+_PROBE_LEFT = list(iter_bits(_INDEX_U.gbar))  # all six left positions
+
+
+def _probe_sequent(bucket, rhs, mask):
+    """A sequent over all of ``gbar``: regular (bucket 0), or irregular with
+    no stable part (1) or with the first left position as its stable part
+    (2), which is then never in the losable part but still counts as a
+    free bit of the query."""
+    if bucket == 0:
+        return Sequent(_INDEX_U, True, mask, 0, 0, rhs)
+    sigma = 1 << _PROBE_LEFT[0] if bucket == 2 else 0
+    return Sequent(_INDEX_U, False, 0, sigma, mask & ~sigma, rhs)
+
+
+@pytest.mark.parametrize("compact_mode", [True, False])
+@pytest.mark.parametrize("bucket", [0, 1, 2])
+def test_next_grade_probe_matches_the_linear_scan(compact_mode, bucket):
+    # Dense buckets of masks of two to five of the six left positions, so
+    # that the grade one above a query often holds more masks than the
+    # query has free bits, and the index probes it instead of scanning.
+    rhs = _INDEX_RHS[0]
+    masks = [sum(1 << p for i, p in enumerate(_PROBE_LEFT) if (bits >> i) & 1)
+             for bits in range(64)]
+    probed = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        dbs = [Database(_INDEX_U, compact_mode=compact_mode),
+               LinearScanDatabase(_INDEX_U, compact_mode=compact_mode)]
+        calls = [[], []]
+        for db, seen in zip(dbs, calls):
+            db.removal_listeners.append(seen.append)
+        for _ in range(30):
+            mask = sum(1 << p for p in rng.sample(_PROBE_LEFT, rng.choice((2, 3, 4, 4, 5))))
+            seq = _probe_sequent(bucket, rhs, mask)
+            n = len(dbs[0].store)
+            premises = tuple(rng.sample(range(n), min(n, rng.randrange(3))))
+            new, old = (put(db, seq, "seed", premises) for db in dbs)
+            assert new == old
+            assert calls[0] == calls[1]
+            assert dbs[0].entries == dbs[1].entries
+            for query in masks:
+                q = _probe_sequent(bucket, rhs, query)
+                key, m = search._index_key(q)
+                hit, ref = dbs[0]._subsumer(key, m), dbs[1]._subsumer(key, m)
+                assert (hit is None) == (ref is None), (seed, query)
+                if hit is not None:
+                    assert hit in dbs[0].entries and subsumes(q, dbs[0].store.nodes[hit].seq)
+                grade = dbs[0]._index.get(key, {}).get(m.bit_count() + 1, {})
+                probed += len(grade) > (_INDEX_U.gbar & ~m).bit_count()
+        assert (minimum_compact(dbs[0]).dump(annotated=True)
+                == linear_minimum_compact(dbs[1]).dump(annotated=True))
+    assert probed >= 100
+
+
 def _database_trace(goal, min_height, compact):
     out = fsearch(goal, min_height=min_height)
     plain = fsearch(goal, min_height=min_height, backward_subsumption=False)
@@ -459,9 +513,10 @@ def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
 class StoredSetSearchState(SearchState):
     """``SearchState`` with every join candidate set stored (the reference):
     each clique of the pairwise-``covers`` graph is registered once under its
-    member set, a new member's sets fire in registration order before the
-    next member is added, held-back sets wait by key, and a member retired
-    by a strictly stronger sequent is swapped for it in each of its sets."""
+    member set, a step registers all its new members before any set fires,
+    pending sets fire in descending order of their member lists (each sorted
+    newest first), held-back sets wait by key, and a member retired by a
+    strictly stronger sequent is swapped for it in each of its sets."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -488,12 +543,25 @@ class StoredSetSearchState(SearchState):
             self._register_set(tuple(sorted(cs.members + (nid,))), cs, nid)
         self._register_set((nid,))
 
-    def _add_candidate_member(self, nid):
-        self._register_member(nid)
+    def _add_candidate_members(self, premises):
+        for nid in premises:
+            if nid not in self.members:
+                self.members[nid] = None
+                self._register_member(nid)
         self._drain_pending()
+
+    def _descending(self, keys):
+        """``keys`` in descending order of their member lists, each list
+        sorted newest first: supersets before their subsets.  A swapped-in
+        member not registered yet is newer than every registered one."""
+        pos = {m: i for i, m in enumerate(self.members)}
+        return sorted(keys, key=lambda key: sorted((pos.get(m, len(pos)) for m in key),
+                                                   reverse=True),
+                      reverse=True)
 
     def _on_removed(self, removed):
         for rid, repl in removed:
+            self.members.pop(rid, None)
             for key in list(self.by_member.get(rid, ())):
                 cs = self.sets.pop(key, None)
                 if cs is None:
@@ -507,7 +575,7 @@ class StoredSetSearchState(SearchState):
 
     def _drain_pending(self):
         while self.pending:
-            batch = list(self.pending)
+            batch = self._descending(self.pending)
             self.pending.clear()
             if self.rng is not None:
                 self.rng.shuffle(batch)
@@ -850,18 +918,74 @@ def test_pruned_walk_matches_the_full_walk_on_larger_formulas(seed, min_height):
             == _walk_trace(FullWalkSearchState, goal, min_height)), to_text(goal)
 
 
+def test_every_set_fires_after_its_fired_supersets(monkeypatch):
+    # Walks start from the newest premise of a step and visit candidates
+    # newest first, and deferred subtrees wait in that order: so within a
+    # step or a wave a set fires after every superset of it that fires.
+    fire, flush = SearchState._fire, SearchState._flush_stats
+    fired = []
+    superset_first = 0
+
+    def record(self, cs):
+        if cs.supported:
+            fired.append(frozenset(cs.members))
+        fire(self, cs)
+
+    def check(self):
+        nonlocal superset_first
+        for j, later in enumerate(fired):
+            for earlier in fired[:j]:
+                assert not earlier < later, (self.iteration, sorted(earlier), sorted(later))
+                superset_first += later < earlier
+        fired.clear()
+        flush(self)
+
+    monkeypatch.setattr(SearchState, "_fire", record)
+    monkeypatch.setattr(SearchState, "_flush_stats", check)
+    goals = [(_chain(n), False) for n in range(4, 11)]
+    goals += [(nishimura(i), mh) for i in range(1, 15) for mh in (False, True)]
+    goals += [(g, mh) for g in random_formulas(2026, 3, 12, 150) for mh in (False, True)]
+    for goal, min_height in goals:
+        fsearch(goal, min_height=min_height)
+    assert superset_first > 1000
+
+
+def test_chain_10_retires_no_join_conclusion_for_a_superset_of_its_step():
+    # Every set fires after its supersets, so a subset's conclusion meets
+    # the superset's conclusion as forward subsumption instead of being
+    # stored and retired.  With walks and candidates oldest first, 1,793
+    # conclusions were retired that way, and the store held 5,171 nodes.
+    state = SearchState(build_universe(_chain(10)))
+    nodes = state.store.nodes
+    retired = []
+
+    def log(removed):
+        for rid, repl in removed:
+            if repl is not None and nodes[rid].rule == search.JOIN_AT:
+                old, new = nodes[rid], nodes[repl]
+                if (new.rule in search.JOIN_RULES and new.iteration == old.iteration
+                        and set(old.premises) < set(new.premises)):
+                    retired.append(rid)
+
+    state.db.removal_listeners.append(log)
+    out = state.run()
+    assert not out.is_proof
+    assert not retired
+    assert len(out.store) <= 3477
+
+
 def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
-    # Without a seed each walk extends its new member by the older members
-    # in their order; a seed shuffles them, and the members of each step,
-    # but leaves the compact database as it is.
+    # Without a seed each walk extends its newest member by the older
+    # members newest first; a seed shuffles them, and the members of each
+    # step, but leaves the compact database as it is.
     fire = SearchState._fire
     walks = []
 
     def record(self, cs):
         members = list(self.members)
         if len(cs.members) == 2:
-            walks[-1].setdefault(members[-1], []).append(
-                min(members.index(m) for m in cs.members))
+            older, newest = sorted(cs.members, key=members.index)
+            walks[-1].setdefault(newest, []).append(members.index(older))
         fire(self, cs)
 
     monkeypatch.setattr(SearchState, "_fire", record)
@@ -869,7 +993,8 @@ def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
     for seed in (None, 1, 2, 3):
         walks.append({})
         dumps.add(minimum_compact(fsearch(_chain(6), shuffle_seed=seed).db).dump())
-        in_order = all(older == sorted(older) for older in walks[-1].values())
+        in_order = all(older == sorted(older, reverse=True)
+                       for older in walks[-1].values())
         assert in_order == (seed is None), seed
     assert len(dumps) == 1
     assert len({repr(w) for w in walks}) == 4
@@ -885,7 +1010,7 @@ class IterationSearchState(StoredSetSearchState):
 
     def _drain_pending(self):
         while self.pending:
-            batch = list(self.pending)
+            batch = self._descending(self.pending)
             self.pending.clear()
             if self.rng is not None:
                 self.rng.shuffle(batch)
@@ -907,10 +1032,8 @@ class IterationSearchState(StoredSetSearchState):
                 self._regular_step(sid, node)
             else:
                 self._irregular_step(sid, node)
-        for sid in order:
-            if sid in self.db.entries and not self.store.nodes[sid].seq.regular:
-                self._register_member(sid)
-        self._drain_pending()
+        self._add_candidate_members([sid for sid in order if sid in self.db.entries
+                                     and not self.store.nodes[sid].seq.regular])
         self.last = self._added_now
         self._flush_stats()
         return self.last
