@@ -86,7 +86,6 @@ def _decide_one(goal: Formula, args) -> tuple[int, dict]:
     t0 = time.perf_counter()
     outcome = fsearch(goal,
                       backward_subsumption=not args.no_backward_subsumption,
-                      min_height=args.minimal_height,
                       shuffle_seed=args.seed,
                       collect_stats=args.stats)
     report: dict = {"formula": to_text(goal), "iterations": outcome.iterations}
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("decide", help="decide the formulas in a file (or -)")
     d.add_argument("input", help="path to a file of formulas, or - for stdin")
     d.add_argument("--minimal-height", action="store_true",
-                   help="delay joins so countermodels have minimal height")
+                   help="accepted and ignored: every search is minimal-height")
     d.add_argument("--no-backward-subsumption", action="store_true")
     d.add_argument("--countermodel", metavar="OUT")
     d.add_argument("--derivation", metavar="OUT")

@@ -93,24 +93,24 @@ nothing inserted means no backward subsumption, no retired entry and no
 goal sequent, so the database stays as the bound read it and the store
 is the one the full walk would leave.
 
-The minimal-height strategy delays joins.  A walk that reaches a set of
-join rank above the current wave stops there and defers the set together
-with its candidates: a rank only grows along a walk, so no set below it
-could fire at this wave.  Deferred sets wait in descending order, as each
-iteration's go before those of earlier ones.  Once everything else has
-saturated, the wave increases, and each deferred set whose members are
-all still live is walked again, in that order, over its candidates that
-are still live, with both bounds read against the database as it stands
-then; a set still above the new wave is deferred again.  So every set
-fires through a walk.  The support bound is exact under the strategy too,
-as an unsupported set fires at no wave.  The subsumption bound reads the
-database now, while a deferred set fires later, when a
-backward-subsumption cascade (which retires consumers without a
-replacement) may have taken away what subsumes its conclusions now.  So
-under the strategy the bound only skips a subtree whose candidates all
-rank below the wave: every set below then ranks at or under it and fires
-in this walk.  The first wave at which a goal sequent appears is then the
-least possible join depth, i.e. the minimal countermodel height.
+Every run delays joins by wave, so that every countermodel has minimal
+height.  A walk that reaches a set of join rank above the current wave
+stops there and defers the set together with its candidates: a rank only
+grows along a walk, so no set below it could fire at this wave.  Deferred
+sets wait in descending order, as each iteration's go before those of
+earlier ones.  Once everything else has saturated, the wave increases, and
+each deferred set whose members are all still live is walked again, in
+that order, over its candidates that are still live, with both bounds read
+against the database as it stands then; a set still above the new wave is
+deferred again.  So every set fires through a walk.  The support bound is
+exact under waves too, as an unsupported set fires at no wave.  The
+subsumption bound reads the database now, while a deferred set fires
+later, when a backward-subsumption cascade (which retires consumers
+without a replacement) may have taken away what subsumes its conclusions
+now.  So the bound only skips a subtree whose candidates all rank below
+the wave: every set below then ranks at or under it and fires in this
+walk.  The first wave at which a goal sequent appears is then the least
+possible join depth, i.e. the minimal countermodel height.
 """
 
 from __future__ import annotations
@@ -458,16 +458,16 @@ class SearchOutcome:
 
 
 class SearchState:
-    """One saturation run; exposes the iteration step for tests and tools."""
+    """One saturation run, with joins staged by wave so that the first goal
+    sequent has the least join depth; exposes the iteration step for tests
+    and tools."""
 
     def __init__(self, universe: GoalUniverse, *, backward_subsumption: bool = True,
-                 min_height: bool = False, shuffle_seed: int | None = None,
-                 collect_stats: bool = False):
+                 shuffle_seed: int | None = None, collect_stats: bool = False):
         self.u = universe
         self.db = Database(universe, compact_mode=backward_subsumption)
         self.store = self.db.store
-        self.min_height = min_height
-        self.cap = 0  # join-rank cap, only enforced under min_height
+        self.cap = 0  # the wave: the highest join rank that may fire
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         self.collect_stats = collect_stats
         self.stats: list[dict] = []
@@ -550,7 +550,7 @@ class SearchState:
         a later wave when ``cs`` is above the current one.  No fire below
         ``cs`` retires a member of ``cs`` (the weight lemma of the module
         docstring), so ``cs`` stays live throughout."""
-        if self.min_height and cs.needed_rank > self.cap:
+        if cs.needed_rank > self.cap:
             self.blocked.append((cs, cands))
             return
         if cands and self._subsumed(cs, cands):
@@ -584,7 +584,7 @@ class SearchState:
             cover |= by_ante.get(rhs, 0)
         if cs.sig & u.imp_mask & ~cover:
             return True
-        if self.min_height and max(nodes[c].rank for c in cands) >= self.cap:
+        if max(nodes[c].rank for c in cands) >= self.cap:
             return False
         subsumer = self.db._subsumer
         for t, _rule, gamma in cs.conclusions(ups, cover):
@@ -694,44 +694,46 @@ class SearchState:
     def run(self, max_iterations: int | None = None) -> SearchOutcome:
         self.insert_axioms()
         while self._goal is None:
-            if not self.last:
-                if self.min_height and self.blocked:
-                    self.cap += 1
-                    batch, self.blocked = self.blocked, []
-                    if self.rng is not None:
-                        self.rng.shuffle(batch)
-                    self._added_now = []
-                    for cs, cands in batch:
-                        if self._goal is not None:
-                            break
-                        if self._live(cs):
-                            self._walk(cs, [c for c in cands if c in self.members])
-                    self.last = self._added_now
-                    self._flush_stats()
-                    continue
+            if self.last:
+                if max_iterations is not None and self.iteration >= max_iterations:
+                    raise IterationBudgetExceeded(
+                        f"no fixpoint within {max_iterations} iterations")
+                self.step()
+            elif self.blocked:
+                # Everything below the wave has saturated: raise it.
+                self.cap += 1
+                batch, self.blocked = self.blocked, []
+                if self.rng is not None:
+                    self.rng.shuffle(batch)
+                self._added_now = []
+                for cs, cands in batch:
+                    if self._goal is not None:
+                        break
+                    if self._live(cs):
+                        self._walk(cs, [c for c in cands if c in self.members])
+                self.last = self._added_now
+                self._flush_stats()
+            else:
                 return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
                                      iterations=self.iteration, stats=self.stats)
-            if max_iterations is not None and self.iteration >= max_iterations:
-                raise IterationBudgetExceeded(
-                    f"no fixpoint within {max_iterations} iterations")
-            self.step()
         return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=self._goal,
                              iterations=self.iteration, stats=self.stats)
 
 
 def fsearch(goal: Formula | GoalUniverse, *, backward_subsumption: bool = True,
-            min_height: bool = False, max_iterations: int | None = None,
+            min_height: bool = True, max_iterations: int | None = None,
             shuffle_seed: int | None = None, collect_stats: bool = False,
             ) -> SearchOutcome:
     """Decide the goal by forward saturation.
 
     Returns a proof outcome exactly when a regular sequent with the goal on
-    the right is derivable (the goal is then not intuitionistically valid);
-    otherwise the returned database is saturated, and compact when backward
-    subsumption was on.
+    the right is derivable (the goal is then not intuitionistically valid),
+    at the least join depth, so the countermodel it yields has minimal
+    height; otherwise the returned database is saturated, and compact when
+    backward subsumption was on.  ``min_height`` is accepted and ignored:
+    every search is minimal-height.
     """
     universe = goal if isinstance(goal, GoalUniverse) else build_universe(goal)
     state = SearchState(universe, backward_subsumption=backward_subsumption,
-                        min_height=min_height, shuffle_seed=shuffle_seed,
-                        collect_stats=collect_stats)
+                        shuffle_seed=shuffle_seed, collect_stats=collect_stats)
     return state.run(max_iterations)

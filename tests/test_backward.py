@@ -286,28 +286,31 @@ def test_g3i_translation_adds_antecedent_at_closed_right_implications():
     assert check_g3i(to_g3i(tree), out.universe) is None
 
 
-def _g3i_problem(goal, min_height):
-    """``check_g3i``'s verdict on the certificate of a valid ``goal``."""
-    out = fsearch(goal, min_height=min_height)
+def _g3i_problem(goal, backward_subsumption):
+    """``check_g3i``'s verdict on the certificate of a valid ``goal``, read
+    from the database saturated with or without backward subsumption."""
+    out = fsearch(goal, backward_subsumption=backward_subsumption)
     assert not out.is_proof
     return check_g3i(to_g3i(bsearch(out.db)), out.universe)
 
 
-@pytest.mark.parametrize("min_height", [False, True])
+@pytest.mark.parametrize("backward_subsumption", [False, True])
 @pytest.mark.parametrize("text", G3I_CONSUMED_ANTECEDENT)
-def test_g3i_translation_never_re_adds_a_consumed_antecedent(text, min_height):
+def test_g3i_translation_never_re_adds_a_consumed_antecedent(text, backward_subsumption):
     assert oracle_decide(parse(text))
-    assert _g3i_problem(parse(text), min_height) is None
+    assert _g3i_problem(parse(text), backward_subsumption) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
-@example(566, False)
+@example(566, True)
 @example(589, True)
-def test_g3i_certificates_of_larger_valid_goals_check(seed, min_height):
+@example(566, False)
+@example(589, False)
+def test_g3i_certificates_of_larger_valid_goals_check(seed, backward_subsumption):
     goal = _larger_formula(seed)
     if oracle_decide(goal):
-        assert _g3i_problem(goal, min_height) is None, to_text(goal)
+        assert _g3i_problem(goal, backward_subsumption) is None, to_text(goal)
 
 
 def test_g3i_checker_rejects_corrupted_trees(valid_e_u, e_saturated):

@@ -38,7 +38,7 @@ def test_decide_certifies_goals_that_consume_a_closed_antecedent(tmp_path, capsy
 def test_decide_non_valid_formula_reports_model(tmp_path, capsys):
     src = tmp_path / "f.txt"
     src.write_text(SCOTT + "\n")
-    code, out, _ = run(capsys, "decide", str(src), "--minimal-height")
+    code, out, _ = run(capsys, "decide", str(src))
     assert code == 1
     assert "non-valid" in out and "4 worlds" in out and "height 2" in out
 
@@ -228,19 +228,31 @@ def test_output_files_hold_every_formula_in_input_order(tmp_path, capsys):
     assert models.index("world 0: p") < models.index("world 0: q")
 
 
+SIX_GOALS = "\n".join([SCOTT, VALID_E, KP, "p -> p", "p | ~p", "~~(p | ~p)"])
+
+
 def test_decide_without_backward_subsumption_gives_the_same_verdicts(tmp_path, capsys):
-    # The stored derivations, and so the extracted models, may differ; the
-    # verdicts may not, nor under --minimal-height the model heights.
+    # The stored derivations, and so the extracted models, may differ in
+    # their world counts; the verdicts and the (minimal) model heights may
+    # not.
     src = tmp_path / "f.txt"
-    src.write_text("\n".join([SCOTT, VALID_E, KP, "p -> p", "p | ~p", "~~(p | ~p)"]))
-    for flags, drop in (((), r"  countermodel: .*"),
-                        (("--minimal-height",), r"\d+ worlds, ")):
-        runs = []
-        for extra in ((), ("--no-backward-subsumption",)):
-            code, out, _ = run(capsys, "decide", str(src), *flags, *extra)
-            runs.append((code, [re.sub(drop, "", line) for line in out.splitlines()]))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 1 and len(runs[0][1]) == 6
+    src.write_text(SIX_GOALS)
+    runs = []
+    for extra in ((), ("--no-backward-subsumption",)):
+        code, out, _ = run(capsys, "decide", str(src), *extra)
+        runs.append((code, [re.sub(r"\d+ worlds, ", "", line) for line in out.splitlines()]))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and len(runs[0][1]) == 6
+    assert sum("height" in line for line in runs[0][1]) == 3
+
+
+def test_decide_accepts_and_ignores_minimal_height(tmp_path, capsys):
+    # Every search is minimal-height, so the flag changes no byte.
+    src = tmp_path / "f.txt"
+    src.write_text(SIX_GOALS)
+    plain = run(capsys, "decide", str(src))
+    assert run(capsys, "decide", str(src), "--minimal-height") == plain
+    assert plain[0] == 1 and len(plain[1].splitlines()) == 6
 
 
 def test_decide_writes_artifacts(tmp_path, capsys):
@@ -249,7 +261,7 @@ def test_decide_writes_artifacts(tmp_path, capsys):
     model_out = tmp_path / "model.txt"
     deriv_out = tmp_path / "deriv.txt"
     db_out = tmp_path / "db.txt"
-    code, _, _ = run(capsys, "decide", str(src), "--minimal-height",
+    code, _, _ = run(capsys, "decide", str(src),
                      "--countermodel", str(model_out),
                      "--derivation", str(deriv_out),
                      "--db-dump", str(db_out))

@@ -27,7 +27,7 @@ CORPUS = random_formulas(2026, 3, 12, 150) + [nishimura(i) for i in range(1, 17)
 # -- extraction ---------------------------------------------------------------
 
 def test_extract_scott_model():
-    out = proof_of(SCOTT, min_height=True)
+    out = proof_of(SCOTT)
     ex = extract_model(out.store, out.root)
     m = ex.model
     assert m.n == 4
@@ -44,7 +44,7 @@ def test_extract_scott_model():
 
 
 def test_extract_anti_scott_model_is_not_a_tree():
-    out = proof_of(ANTI_SCOTT, min_height=True)
+    out = proof_of(ANTI_SCOTT)
     ex = extract_model(out.store, out.root)
     m = ex.model
     assert m.n == 5 and height(m) == 2
@@ -53,7 +53,7 @@ def test_extract_anti_scott_model_is_not_a_tree():
 
 
 def test_extract_kp_model():
-    out = proof_of(KP, min_height=True)
+    out = proof_of(KP)
     ex = extract_model(out.store, out.root)
     m = ex.model
     assert height(m) == 1 and m.n == 4
@@ -142,8 +142,8 @@ def test_one_pass_extraction_matches_the_ancestor_sets():
     # Search stores, and the stores rebuilt from their models.
     extracted = 0
     for goal in CORPUS + INTERLEAVED_WORLDS:
-        for min_height in (False, True):
-            out = fsearch(goal, min_height=min_height)
+        for backward_subsumption in (True, False):
+            out = fsearch(goal, backward_subsumption=backward_subsumption)
             if not out.is_proof:
                 continue
             for store, root in ((out.store, out.root),
@@ -151,7 +151,7 @@ def test_one_pass_extraction_matches_the_ancestor_sets():
                                                       goal)):
                 assert (_extraction_fields(extract_model(store, root))
                         == _extraction_fields(reference_extract_model(store, root))), \
-                    (to_text(goal), min_height)
+                    (to_text(goal), backward_subsumption)
                 extracted += 1
     assert extracted > 400
 
@@ -194,21 +194,21 @@ def assert_ranks_are_the_join_depths(store):
 
 def test_stored_ranks_are_the_recursive_join_depths():
     # The store assigns every node its rank as it is added; the recursion
-    # over the stored derivation agrees, on search stores under every
-    # strategy and on the stores rebuilt from their countermodels.
+    # over the stored derivation agrees, on search stores with and without
+    # backward subsumption and on the stores rebuilt from their
+    # countermodels; the corpus continues into the next 150 formulas of the
+    # benchmark's first stratum.
     rebuilt = 0
-    for goal in CORPUS:
-        for min_height in (False, True):
-            for backward_subsumption in (True, False):
-                out = fsearch(goal, min_height=min_height,
-                              backward_subsumption=backward_subsumption)
-                assert_ranks_are_the_join_depths(out.store)
-                if out.is_proof:
-                    model = extract_model(out.store, out.root).model
-                    store, root = derivation_from_model(model, goal)
-                    assert_ranks_are_the_join_depths(store)
-                    assert rank(store, root) <= height(model)
-                    rebuilt += 1
+    for goal in CORPUS + random_formulas(2026, 3, 12, 300)[150:]:
+        for backward_subsumption in (True, False):
+            out = fsearch(goal, backward_subsumption=backward_subsumption)
+            assert_ranks_are_the_join_depths(out.store)
+            if out.is_proof:
+                model = extract_model(out.store, out.root).model
+                store, root = derivation_from_model(model, goal)
+                assert_ranks_are_the_join_depths(store)
+                assert rank(store, root) <= height(model)
+                rebuilt += 1
     assert rebuilt > 500
 
 
@@ -224,7 +224,7 @@ def test_rank_of_axioms():
 
 def test_rank_equals_extracted_height():
     for text, expected in ((SCOTT, 2), (ANTI_SCOTT, 2), (KP, 1)):
-        out = proof_of(text, min_height=True)
+        out = proof_of(text)
         ex = extract_model(out.store, out.root)
         r = rank(out.store, out.root)
         assert r == expected == height(ex.model)
@@ -248,7 +248,7 @@ def _copy_store(store):
 
 
 def test_soundness_audit_catches_a_swapped_premise():
-    out = proof_of(SCOTT, min_height=True)
+    out = proof_of(SCOTT)
     store = out.store
     # Redirect one premise of a join inside the proof to a sibling premise;
     # at least one such corruption must break the semantic reading.
@@ -386,7 +386,7 @@ def test_derivation_from_model_never_beats_the_input_height():
         ex = extract_model(store, root)
         assert height(ex.model) <= height(model)
         assert check_countermodel(ex.model, goal)
-        # And the search with join delay reaches that same minimal height.
-        out = fsearch(parse(text), min_height=True)
+        # And the search reaches that same minimal height.
+        out = fsearch(parse(text))
         ex2 = extract_model(out.store, out.root)
         assert height(ex2.model) <= height(ex.model)

@@ -12,10 +12,12 @@ the chains, the random corpus and ``conftest.G3I_CONSUMED_ANTECEDENT``, the
 G3i text of ``to_g3i(bsearch(db))`` and the critical choices ``bsearch``
 took.  A third table pins the saturated databases of the valid goals: per
 valid goal of the chains 4-10 and the random corpus, ``db.dump()`` and
-``minimum_compact(db).dump()`` under the default flags and under minimal
-height.  They do not depend on the order in which rule instances and join
-sets fire, so a change of that order keeps this table while re-pinning the
-first.  Regenerate all three tables with
+``minimum_compact(db).dump()`` under the default flags and with
+``min_height=True``, which every search now ignores: the table was pinned
+when that switched strategies, so it still shows that the one search
+saturates to the same databases.  They do not depend on the order in which
+rule instances and join sets fire, so a change of that order keeps this
+table while re-pinning the first.  Regenerate all three tables with
 ``PYTHONPATH=src python tests/test_fingerprints.py``.
 """
 
@@ -42,20 +44,19 @@ def _chain(n):
 
 
 def _groups():
-    """(label, goals, min_height): chains 4-8, ladders 1-12 under minimal
-    height, and the first 150 formulas of the benchmark's random-mixed
-    corpus (its first stratum: seed 2026, 3 variables, size at most 12) in
-    chunks of 25."""
-    groups = [(f"chain{n}", [_chain(n)], False) for n in range(4, 9)]
-    groups += [(f"ladder{i}", [nishimura(i)], True) for i in range(1, 13)]
+    """(label, goals): chains 4-8, ladders 1-12, and the first 150 formulas
+    of the benchmark's random-mixed corpus (its first stratum: seed 2026,
+    3 variables, size at most 12) in chunks of 25."""
+    groups = [(f"chain{n}", [_chain(n)]) for n in range(4, 9)]
+    groups += [(f"ladder{i}", [nishimura(i)]) for i in range(1, 13)]
     corpus = random_formulas(2026, 3, 12, 150)
-    groups += [(f"random{k}-{k + RANDOM_CHUNK - 1}", corpus[k:k + RANDOM_CHUNK], False)
+    groups += [(f"random{k}-{k + RANDOM_CHUNK - 1}", corpus[k:k + RANDOM_CHUNK])
                for k in range(0, len(corpus), RANDOM_CHUNK)]
     return groups
 
 
-def _fingerprint(goal, min_height):
-    out = fsearch(goal, min_height=min_height)
+def _fingerprint(goal):
+    out = fsearch(goal)
     parts = [out.status, out.db.dump(annotated=True), out.store.dump(),
              minimum_compact(out.db).dump(annotated=True)]
     if out.is_proof:
@@ -64,8 +65,8 @@ def _fingerprint(goal, min_height):
     return "\x00".join(map(str, parts))
 
 
-def _digest(goals, min_height):
-    text = "\x01".join(_fingerprint(g, min_height) for g in goals)
+def _digest(goals):
+    text = "\x01".join(_fingerprint(g) for g in goals)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -91,7 +92,7 @@ DIGESTS = {
     "random25-49": "30cc9621dd99ef75971a6e93e896c8beca1ffabe5e28438f419e40f60851deda",
     "random50-74": "808970910efa1c0633dceb6ecffeaf33faa223ef1e4921583266bc23f8ecabc7",
     "random75-99": "aff123c33141a6499d6ad54f818ed9ea796042472be7b2f199d649f25346b789",
-    "random100-124": "1d7da60a34b1b07e1a7866bd603a4917e3147756a9ade36587ee7bc42c39b809",
+    "random100-124": "a88fdb5963a6ee282433567bf04466806908ee5230e73b1d6813662c0e27cb00",
     "random125-149": "436a0741e82427c90b7f49c787613932172bbc2abd3910b7cd7c941021c3ba16",
 }
 
@@ -118,7 +119,7 @@ def _certificate_groups():
     """(label, goals): the groups of ``_groups`` without the ladders (none
     of them is valid), and the goals whose G3i translation once re-added a
     consumed antecedent."""
-    groups = [(label, goals) for label, goals, _mh in _groups()
+    groups = [(label, goals) for label, goals in _groups()
               if not label.startswith("ladder")]
     groups.append(("consumed-antecedent", [parse(t) for t in G3I_CONSUMED_ANTECEDENT]))
     return groups
@@ -187,9 +188,9 @@ CERTIFICATE_GROUPS = _certificate_groups()
 COMPACT_DUMP_GROUPS = _compact_dump_groups()
 
 
-@pytest.mark.parametrize("label,goals,min_height", GROUPS, ids=[g[0] for g in GROUPS])
-def test_output_matches_the_pinned_digest(label, goals, min_height):
-    assert _digest(goals, min_height) == DIGESTS[label]
+@pytest.mark.parametrize("label,goals", GROUPS, ids=[g[0] for g in GROUPS])
+def test_output_matches_the_pinned_digest(label, goals):
+    assert _digest(goals) == DIGESTS[label]
 
 
 @pytest.mark.parametrize("label,goals", CERTIFICATE_GROUPS,
@@ -206,8 +207,8 @@ def test_saturated_databases_match_the_pinned_digest(label, goals):
 
 if __name__ == "__main__":
     print("DIGESTS = {")
-    for label, goals, min_height in GROUPS:
-        print(f'    "{label}": "{_digest(goals, min_height)}",')
+    for label, goals in GROUPS:
+        print(f'    "{label}": "{_digest(goals)}",')
     print("}")
     print("CERTIFICATE_DIGESTS = {")
     for label, goals in CERTIFICATE_GROUPS:

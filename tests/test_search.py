@@ -264,8 +264,8 @@ def _chain(n):
     return parse(f"{links} -> ({atoms[0]} -> {atoms[-1]})")
 
 
-def _saturation_trace(goal, min_height):
-    out = fsearch(goal, min_height=min_height)
+def _saturation_trace(goal):
+    out = fsearch(goal)
     trace = [out.db.dump(annotated=True), out.store.dump()]
     if out.is_proof:
         model = extract_model(out.store, out.root).model
@@ -277,13 +277,12 @@ def _saturation_trace(goal, min_height):
 def test_shift_kernels_reproduce_the_subset_enumeration_runs(monkeypatch):
     # Same databases, same node ids, same countermodels as with the
     # reference kernels, on valid chains and on the non-valid ladder.
-    goals = [(_chain(n), False) for n in range(4, 8)]
-    goals += [(nishimura(i), True) for i in range(1, 13)]
-    traces = [_saturation_trace(g, mh) for g, mh in goals]
+    goals = [_chain(n) for n in range(4, 8)] + [nishimura(i) for i in range(1, 13)]
+    traces = [_saturation_trace(g) for g in goals]
     for module in (search, countermodel):
         monkeypatch.setattr(module, "minimal_shifts", brute_minimal_shifts)
         monkeypatch.setattr(module, "maximal_avoiding", brute_maximal_avoiding)
-    assert [_saturation_trace(g, mh) for g, mh in goals] == traces
+    assert [_saturation_trace(g) for g in goals] == traces
 
 
 def test_telemetry_hooks_are_called_through_the_search_module(monkeypatch):
@@ -300,9 +299,9 @@ def test_telemetry_hooks_are_called_through_the_search_module(monkeypatch):
 
     for name in names:
         monkeypatch.setattr(search, name, counting(name, getattr(search, name)))
-    for goal, min_height in ((_chain(6), False), (nishimura(8), True)):
+    for goal in (_chain(6), nishimura(8)):
         counts.update(dict.fromkeys(names, 0))
-        fsearch(goal, min_height=min_height)
+        fsearch(goal)
         assert min(counts.values()) > 0, counts
 
 
@@ -492,20 +491,19 @@ def test_next_grade_probe_matches_the_linear_scan(compact_mode, bucket):
     assert probed >= 100
 
 
-def _database_trace(goal, min_height, compact):
-    out = fsearch(goal, min_height=min_height)
-    plain = fsearch(goal, min_height=min_height, backward_subsumption=False)
+def _database_trace(goal, compact):
+    out = fsearch(goal)
+    plain = fsearch(goal, backward_subsumption=False)
     return [out.db.dump(annotated=True), out.store.dump(), compact(out.db).dump(),
             plain.db.dump(annotated=True), plain.store.dump(), compact(plain.db).dump()]
 
 
 def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
-    goals = [(_chain(n), False) for n in range(4, 9)]
-    goals += [(nishimura(i), True) for i in range(1, 11)]
-    traces = [_database_trace(g, mh, minimum_compact) for g, mh in goals]
+    goals = [_chain(n) for n in range(4, 9)] + [nishimura(i) for i in range(1, 11)]
+    traces = [_database_trace(g, minimum_compact) for g in goals]
     monkeypatch.setattr(search, "Database", LinearScanDatabase)
     assert isinstance(fsearch(_chain(4)).db, LinearScanDatabase)
-    assert [_database_trace(g, mh, linear_minimum_compact) for g, mh in goals] == traces
+    assert [_database_trace(g, linear_minimum_compact) for g in goals] == traces
 
 
 # -- join candidate sets: the walk against the stored sets ------------------------
@@ -586,7 +584,7 @@ class StoredSetSearchState(SearchState):
                     self._fire(self.sets[key])
 
     def _fire(self, cs):
-        if cs.supported and self.min_height and cs.needed_rank > self.cap:
+        if cs.supported and cs.needed_rank > self.cap:
             self.blocked.append(cs)
         else:
             super()._fire(cs)
@@ -595,7 +593,7 @@ class StoredSetSearchState(SearchState):
         self.insert_axioms()
         while self._goal is None:
             if not self.last:
-                if self.min_height and self.blocked:
+                if self.blocked:
                     self.cap += 1
                     self.pending.extend(frozenset(cs.members) for cs in self.blocked)
                     self.blocked = []
@@ -653,16 +651,16 @@ class FullWalkSearchState(SearchState):
     _subsumed = never_subsumed
 
 
-def _join_trace(state_class, goal, min_height):
+def _join_trace(state_class, goal):
     """Every set that fires, with its parts and rank, and both dumps, after
-    the axioms, each step and each minimal-height wave."""
-    state = state_class(build_universe(goal), min_height=min_height)
+    the axioms, each step and each wave."""
+    state = state_class(build_universe(goal))
     snapshots = []
     fired = []
     fire, flush = state._fire, state._flush_stats
 
     def record(cs):
-        if cs.supported and not (min_height and cs.needed_rank > state.cap):
+        if cs.supported and cs.needed_rank <= state.cap:
             fired.append((cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
                           cs.ups_in_ps3, cs.needed_rank))
         fire(cs)
@@ -681,22 +679,21 @@ def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
     # The full walk fires the sets the stored-set reference registers, in
     # its order and with the same parts and ranks, although it stores none
     # and builds each from its base set.
-    goals = [(_chain(n), False) for n in range(4, 9)]
-    goals += [(nishimura(i), True) for i in range(1, 13)]
+    goals = [_chain(n) for n in range(4, 9)] + [nishimura(i) for i in range(1, 13)]
     monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
-    traces = [_join_trace(SearchState, g, mh) for g, mh in goals]
+    traces = [_join_trace(SearchState, g) for g in goals]
     assert max(len(cs[0]) for trace in traces for fired, *_ in trace for cs in fired) >= 3
     monkeypatch.setattr(StoredSetSearchState, "_register_member", scan_register_member)
     monkeypatch.setattr(search, "JoinCandidateSet", FromScratchJoinCandidateSet)
-    for (goal, min_height), trace in zip(goals, traces):
-        assert _join_trace(StoredSetSearchState, goal, min_height) == trace, goal
+    for goal, trace in zip(goals, traces):
+        assert _join_trace(StoredSetSearchState, goal) == trace, goal
 
 
-def _store_trace(goal, min_height, built):
+def _store_trace(goal, backward_subsumption, built):
     """Status, root, both dumps and the number of candidate sets built
     (``built`` counts them)."""
     before = len(built)
-    out = fsearch(goal, min_height=min_height)
+    out = fsearch(goal, backward_subsumption=backward_subsumption)
     return (out.status, out.root, out.store.dump(), out.db.dump(annotated=True),
             len(built) - before)
 
@@ -707,35 +704,37 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    goals = [(_chain(n), False) for n in range(4, 11)]
-    goals += [(nishimura(i), mh) for i in range(1, 15) for mh in (False, True)]
+    # The ladders run with and without backward subsumption, whose cascades
+    # can take away what the subsumption bound read.
+    goals = [(_chain(n), True) for n in range(4, 11)]
+    goals += [(nishimura(i), bw) for i in range(1, 15) for bw in (True, False)]
     goals += [(nishimura(i), True) for i in (15, 16)]
     # Every set below the root of a nested negation is unsupported, so the
     # support bound skips almost the whole walk.
-    goals += [(parse("~" * n + "p"), False) for n in (20, 30)]
-    goals += [(g, False) for g in random_formulas(2026, 3, 12, 300)]
+    goals += [(parse("~" * n + "p"), True) for n in (20, 30)]
+    goals += [(g, True) for g in random_formulas(2026, 3, 12, 300)]
     # From the benchmark corpus: a bound that left out the candidates'
     # supported implications would skip subtrees that insert.
-    goals += [(parse(text), False) for text in (
+    goals += [(parse(text), True) for text in (
         "p4 & (false | ~(p1 | p2) -> p1 -> p1) -> p4",
         "p3 | (p1 -> false | p2) & (~~~(p3 | p4 | ~p3) | ~p2)",
         "~~(p1 | (p2 -> ~(false | p1) | p2)) -> p1")]
-    pruned = [_store_trace(g, mh, built) for g, mh in goals]
+    pruned = [_store_trace(g, bw, built) for g, bw in goals]
     monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
-    full = [_store_trace(g, mh, built) for g, mh in goals]
+    full = [_store_trace(g, bw, built) for g, bw in goals]
     for run, fast, slow in zip(goals, pruned, full):
         assert fast[:-1] == slow[:-1], run
         assert fast[-1] <= slow[-1], run
     assert sum(fast[-1] for fast in pruned) < sum(slow[-1] for slow in full)
 
 
-def _sets_built_to_refute(monkeypatch, goal, min_height=False):
+def _sets_built_to_refute(monkeypatch, goal):
     """The candidate sets built to refute ``goal``, as the stats rows count
     them and as constructed."""
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    out = fsearch(goal, min_height=min_height, collect_stats=True)
+    out = fsearch(goal, collect_stats=True)
     assert out.is_proof
     return sum(row["candidate_sets"] for row in out.stats), len(built)
 
@@ -755,27 +754,27 @@ def test_nested_negations_build_few_candidate_sets(monkeypatch):
 
 
 def test_minimal_height_ladder_builds_few_candidate_sets(monkeypatch):
-    # Ladder 19 under min_height: holding back every set above the wave one
-    # by one built 284,052 sets; deferring whole subtrees builds a few
-    # hundred.
-    counted, built = _sets_built_to_refute(monkeypatch, nishimura(19), min_height=True)
+    # Ladder 19: holding back every set above the wave one by one built
+    # 284,052 sets; deferring whole subtrees builds a few hundred.
+    counted, built = _sets_built_to_refute(monkeypatch, nishimura(19))
     assert counted == built <= 1000
 
 
 def test_stats_rows_count_each_set_built_once(monkeypatch):
     # A deferred set is counted in the row of the iteration that built it,
     # not again at the waves that walk it, nor dropped when a member dies
-    # before its wave comes.
+    # before its wave comes (members die only by backward subsumption).
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
     goals = [nishimura(i) for i in range(1, 17)] + random_formulas(2027, 4, 28, 100)
     for goal in goals:
-        for min_height in (False, True):
+        for backward_subsumption in (True, False):
             built.clear()
-            out = fsearch(goal, min_height=min_height, collect_stats=True)
+            out = fsearch(goal, backward_subsumption=backward_subsumption,
+                          collect_stats=True)
             assert sum(row["candidate_sets"] for row in out.stats) == len(built), \
-                (to_text(goal), min_height)
+                (to_text(goal), backward_subsumption)
 
 
 def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
@@ -791,7 +790,7 @@ def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
     for text in ("(p2 & p4 -> p1) | p2 | ~~(p3 & p3)",
                  "~(~p1 | p2 | p1) & ~(p1 -> p1 & p3) -> p1 | p1 & p3",
                  "(~(p2 & p3) -> p3 -> p3) -> p3 | (~(p1 -> p3) -> ~~~p4) | p1"):
-        fsearch(parse(text), min_height=True)
+        fsearch(parse(text))
 
 
 def test_a_firing_set_never_retires_its_own_members(monkeypatch):
@@ -816,13 +815,12 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
 
     monkeypatch.setattr(SearchState, "_on_removed", log_removed)
     monkeypatch.setattr(SearchState, "_fire", checked_fire)
-    for min_height in (False, True):
-        runs = 0
-        for goal in random_formulas(99, 4, 40, 300):
-            before = len(retired)
-            fsearch(goal, min_height=min_height)
-            runs += len(retired) > before
-        assert runs >= 20, min_height
+    runs = 0
+    for goal in random_formulas(99, 4, 40, 300):
+        before = len(retired)
+        fsearch(goal)
+        runs += len(retired) > before
+    assert runs >= 20
 
 
 def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
@@ -842,8 +840,8 @@ def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
     monkeypatch.setattr(SearchState, "_fire", checked_fire)
     goals = random_formulas(2026, 3, 12, 150) + [nishimura(i) for i in range(1, 17)]
     for goal in goals:
-        for min_height in (False, True):
-            fsearch(goal, min_height=min_height)
+        for backward_subsumption in (True, False):
+            fsearch(goal, backward_subsumption=backward_subsumption)
     assert len(ranks) > 500 and max(ranks) >= 3
 
 
@@ -869,16 +867,17 @@ def test_a_rederived_sequent_keeps_its_first_derivation(monkeypatch):
         return nid
 
     monkeypatch.setattr(search.DerivationStore, "add", checked_add)
-    # An "or" node of rank 0 derived again at rank -1, under both settings.
-    goal = random_formulas(78, 5, 44, 500)[445]
-    for min_height in (False, True):
-        rederived.clear()
-        fsearch(goal, min_height=min_height)
-        assert ("or", 0, "or", -1) in rederived, min_height
+    # An "or" node of rank 0 derived again at rank -1.
+    fsearch(random_formulas(78, 5, 44, 500)[445])
+    assert ("or", 0, "or", -1) in rederived
     # An "imp-notin" node of rank 0 derived again at rank 1.
     rederived.clear()
-    fsearch(random_formulas(77, 4, 40, 1500)[133])
+    fsearch(random_formulas(77, 4, 40, 1500)[1393])
     assert ("imp-notin", 0, "imp-notin", 1) in rederived
+    # A "join-or" node of rank 1 derived again at rank 2.
+    rederived.clear()
+    fsearch(random_formulas(78, 5, 44, 500)[226])
+    assert ("join-or", 1, "join-or", 2) in rederived
 
 
 # Minimal countermodel heights of nishimura(1..18).
@@ -888,15 +887,15 @@ LADDER_HEIGHTS = (0, 0, 1, 0, 1, 1, 2, 1, 2, 2, 3, 2, 3, 3, 4, 3, 4, 4)
 def test_minimal_height_ladders_keep_their_heights_and_check():
     for i in range(1, 31):
         goal = nishimura(i)
-        out = fsearch(goal, min_height=True)
+        out = fsearch(goal)
         model = extract_model(out.store, out.root).model
         assert check_countermodel(model, goal), i
         if i <= len(LADDER_HEIGHTS):
             assert height(model) == LADDER_HEIGHTS[i - 1], i
 
 
-def _walk_trace(state_class, goal, min_height):
-    out = state_class(build_universe(goal), min_height=min_height).run()
+def _walk_trace(state_class, goal, backward_subsumption):
+    out = state_class(build_universe(goal), backward_subsumption=backward_subsumption).run()
     return (out.status, out.root, out.store.dump(), out.db.dump(annotated=True),
             minimum_compact(out.db).dump())
 
@@ -912,10 +911,10 @@ def _larger_formula(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
-def test_pruned_walk_matches_the_full_walk_on_larger_formulas(seed, min_height):
+def test_pruned_walk_matches_the_full_walk_on_larger_formulas(seed, backward_subsumption):
     goal = _larger_formula(seed)
-    assert (_walk_trace(SearchState, goal, min_height)
-            == _walk_trace(FullWalkSearchState, goal, min_height)), to_text(goal)
+    assert (_walk_trace(SearchState, goal, backward_subsumption)
+            == _walk_trace(FullWalkSearchState, goal, backward_subsumption)), to_text(goal)
 
 
 def test_every_set_fires_after_its_fired_supersets(monkeypatch):
@@ -942,11 +941,11 @@ def test_every_set_fires_after_its_fired_supersets(monkeypatch):
 
     monkeypatch.setattr(SearchState, "_fire", record)
     monkeypatch.setattr(SearchState, "_flush_stats", check)
-    goals = [(_chain(n), False) for n in range(4, 11)]
-    goals += [(nishimura(i), mh) for i in range(1, 15) for mh in (False, True)]
-    goals += [(g, mh) for g in random_formulas(2026, 3, 12, 150) for mh in (False, True)]
-    for goal, min_height in goals:
-        fsearch(goal, min_height=min_height)
+    goals = [(_chain(n), True) for n in range(4, 11)]
+    goals += [(nishimura(i), bw) for i in range(1, 15) for bw in (True, False)]
+    goals += [(g, bw) for g in random_formulas(2026, 3, 12, 150) for bw in (True, False)]
+    for goal, backward_subsumption in goals:
+        fsearch(goal, backward_subsumption=backward_subsumption)
     assert superset_first > 1000
 
 
@@ -1046,7 +1045,7 @@ class IterationSearchState(StoredSetSearchState):
                 return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
                                      iterations=self.iteration, stats=self.stats)
             if not self.last:
-                if self.min_height and self.blocked:
+                if self.blocked:
                     self.cap += 1
                     self.pending.extend(frozenset(cs.members) for cs in self.blocked)
                     self.blocked = []
@@ -1060,11 +1059,11 @@ class IterationSearchState(StoredSetSearchState):
             self.step()
 
 
-def _stop_trace(goal, min_height, backward_subsumption, built):
+def _stop_trace(goal, backward_subsumption, built):
     """Status, store nodes, root, goal position, the dumps of a saturated
     run, and the number of candidate sets built (``built`` counts them)."""
     before = len(built)
-    out = fsearch(goal, min_height=min_height, backward_subsumption=backward_subsumption)
+    out = fsearch(goal, backward_subsumption=backward_subsumption)
     nodes = [(n.seq.key, n.rule, n.premises, n.rank) for n in out.store.nodes]
     dumps = None if out.is_proof else (out.db.dump(annotated=True), out.store.dump())
     return out.status, nodes, out.root, out.universe.goal_pos, dumps, len(built) - before
@@ -1078,10 +1077,9 @@ def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    goals = [(_chain(n), False) for n in range(4, 9)]
-    goals += [(nishimura(i), True) for i in range(1, 13)]
-    goals += [(g, False) for g in random_formulas(2026, 3, 12, 150)]
-    runs = [(g, mh, bw, built) for g, mh in goals for bw in (True, False)]
+    goals = [_chain(n) for n in range(4, 9)] + [nishimura(i) for i in range(1, 13)]
+    goals += random_formulas(2026, 3, 12, 150)
+    runs = [(g, bw, built) for g in goals for bw in (True, False)]
     traces = [_stop_trace(*run) for run in runs]
     monkeypatch.setattr(search, "SearchState", IterationSearchState)
     cut = fewer_sets = 0
