@@ -12,10 +12,12 @@ Every conclusion goes into the database through ``Database.insert``.  With
 backward subsumption on, inserting a strictly stronger sequent retires the
 weaker entries and, transitively, every entry whose stored derivation used
 one, and reports them to the database's removal listeners; retired store
-nodes are tombstoned, never deleted, so earlier proofs stay replayable.  The
-derivation store gives each node its rank, the join depth of its
-derivation, as it is added; a retired sequent derived again keeps its node,
-and with it its first derivation and rank.
+nodes are tombstoned, never deleted, so earlier proofs stay replayable.
+Each node gets its rank, the join depth of its derivation, as it is added:
+the derivation store computes it from the premises, except for the
+conclusions of a fired join set, which take the rank the set was built
+with.  A retired sequent derived again keeps its node, and with it its
+first derivation and rank.
 
 Both subsumption checks go through an index built from the definition of
 ``rules.subsumes``: a regular sequent can only be subsumed by a regular one
@@ -27,15 +29,20 @@ the size of that mask.  Forward subsumption looks up the exact mask and
 the larger grades.  Every stored mask lies inside ``gbar``, so the grade one
 larger holds a superset exactly when it holds the mask plus one bit of
 ``gbar`` outside it; when that grade holds more masks than there are such
-bits, the query probes for them instead of scanning it, and it scans every
-other larger grade.  Backward subsumption scans only the smaller grades.
-Within a bucket, mask inclusion is subsumption, so the forward query
-runs on a bucket key and a mask; storing is that query plus one store tail.
-A join conclusion and the regular sequents the walk bounds below query are
-given as masks, and a ``Sequent`` is built only for a conclusion that is
-stored, or to confirm an index hit with ``subsumes``.  The closure of a
-regular premise's left side is computed only when an implication rule has
-the premise's right side as consequent: no other rule reads it.
+bits, the query probes for them, implications first, instead of scanning
+it, and it scans every other larger grade.  Backward subsumption scans only
+the smaller grades.  Within a bucket, mask inclusion is subsumption, so the
+forward query runs on a bucket key and a mask; storing is that query plus
+one store tail.  Each conclusion is built as a ``Sequent`` once and
+inserted with one call: it is either confirmed against an index hit with
+``subsumes`` or stored, and both need it.  Only the regular sequents that
+the walk's bound queries below a set stay masks, and one of them is built
+only to confirm a hit.  When a join set fires, its members list the nodes
+it stored among their consumers once, after its last conclusion: none of
+them retires meanwhile (see the weight argument below), so no cascade reads
+those lists before they are complete.  The closure of a regular premise's
+left side is computed only when an implication rule has the premise's right
+side as consequent: no other rule reads it.
 
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
@@ -154,8 +161,11 @@ class DerivationStore:
     derivation, and with it the first rank.  A node's rank is the join depth
     of its derivation: 0 for a regular axiom, -1 for an irregular one, the
     deepest premise's rank plus one for a join, and the deepest premise's
-    rank for every other rule.  ``consumers`` inverts the premise links for
-    backward subsumption cascades.
+    rank for every other rule.  ``add`` computes it from the premises unless
+    the caller passes it, as the search does for a fired join set, which
+    holds that rank already.  ``consumers`` inverts the premise links for
+    backward subsumption cascades: each premise lists its consumers in
+    ascending order, once per premise link.
     """
 
     def __init__(self, universe: GoalUniverse):
@@ -164,28 +174,38 @@ class DerivationStore:
         self.by_key: dict[tuple, int] = {}
         self.consumers: dict[int, list[int]] = {}
 
-    def add(self, seq: Sequent, rule: str, premises: tuple[int, ...],
-            iteration: int) -> int:
+    def add(self, seq: Sequent, rule: str, premises: tuple[int, ...], iteration: int,
+            rank: int | None = None) -> int:
+        """The node id of ``seq``, added unless stored.  A caller that passes
+        the new node's ``rank`` also lists the node among its premises'
+        consumers itself (:meth:`link`), as the search does once per fired
+        join set."""
         key = seq.key
         nid = self.by_key.get(key)
         if nid is not None:
             return nid
         nodes = self.nodes
-        if premises:
-            rank = max([nodes[p].rank for p in premises]) + (1 if rule in JOIN_RULES else 0)
-        else:
-            rank = 0 if seq.regular else -1
         nid = len(nodes)
+        if rank is None:
+            if premises:
+                rank = max([nodes[p].rank for p in premises]) + (rule in JOIN_RULES)
+                self.link(premises, (nid,))
+            else:
+                rank = 0 if seq.regular else -1
         nodes.append(StoreNode(seq, rule, premises, iteration, rank))
         self.by_key[key] = nid
+        return nid
+
+    def link(self, premises: tuple[int, ...], nids: tuple[int, ...] | list[int]) -> None:
+        """List the nodes ``nids``, in order, among the consumers of each of
+        ``premises``."""
         consumers = self.consumers
         for p in premises:
             users = consumers.get(p)
             if users is None:
-                consumers[p] = [nid]
+                consumers[p] = list(nids)
             else:
-                users.append(nid)
-        return nid
+                users.extend(nids)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -243,6 +263,8 @@ class Database:
     the same or a strictly larger mask, and an entry the sequent strictly
     subsumes with a strictly smaller one; every candidate found this way is
     confirmed by ``subsumes``.  Retiring an entry may leave an empty grade.
+    ``insert`` takes the sequent itself; the lookup, ``_subsumer``, also
+    answers a query given only as a bucket and a mask.
     """
 
     def __init__(self, universe: GoalUniverse, store: DerivationStore | None = None,
@@ -309,11 +331,15 @@ class Database:
             if size == k + 1:
                 # Every stored mask lies inside ``gbar``, so a superset one
                 # larger is ``mask`` plus one bit of ``free``: when the grade
-                # holds more masks than that, probe for them instead.
+                # holds more masks than that, probe for them instead, the
+                # implications first: where a join set's superset fired
+                # first, its conclusion holds one more implication.
                 free = self.u.gbar & ~mask
                 if len(group) > free.bit_count():
+                    imps = self.u.gimp
                     while free:
-                        bit = free & -free
+                        bits = free & imps or free
+                        bit = bits & -bits
                         e = group.get(mask | bit)
                         if e is not None:
                             return self._confirmed(e, key, mask, seq)
@@ -333,25 +359,18 @@ class Database:
             seq = _sequent_at(self.u, key, mask)
         return e if subsumes(seq, self.store.nodes[e].seq) else None
 
-    def insert(self, key: tuple, mask: int, rule: str, premises: tuple[int, ...] = (),
-               iteration: int = 0, seq: Sequent | None = None) -> Optional[int]:
-        """Store the sequent of bucket ``key`` and mask ``mask`` (see
-        :func:`_index_key`) unless an entry subsumes it (:meth:`_subsumer`),
-        and return its node id, or None when it is subsumed.  ``seq`` is
-        that sequent, or None to build it only if it is stored."""
+    def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
+               iteration: int = 0, rank: int | None = None) -> Optional[int]:
+        """Store ``seq`` unless an entry subsumes it (:meth:`_subsumer`), make
+        it live and return its node id, or return None when it is subsumed.
+        In compact mode also retire every entry ``seq`` strictly subsumes
+        together with its stored consequences, and report them to the
+        ``removal_listeners``.  ``rank`` goes to :meth:`DerivationStore.add`:
+        a caller that gives it links the premises' consumers itself."""
+        key, mask = _index_key(seq)
         if self._subsumer(key, mask, seq) is not None:
             return None
-        if seq is None:
-            seq = _sequent_at(self.u, key, mask)
-        return self._store(seq, key, mask, rule, premises, iteration)
-
-    def _store(self, seq: Sequent, key: tuple, mask: int, rule: str,
-               premises: tuple[int, ...], iteration: int) -> int:
-        """Store ``seq``, of bucket ``key`` and mask ``mask``, which no entry
-        subsumes, make it live and return its node id; in compact mode also
-        retire every strictly subsumed entry together with its stored
-        consequences, and report them to the ``removal_listeners``."""
-        nid = self.store.add(seq, rule, premises, iteration)
+        nid = self.store.add(seq, rule, premises, iteration, rank)
         grades = self._link(nid, seq.rhs, key, mask)
         doomed = []
         if self.compact_mode:
@@ -484,23 +503,16 @@ class SearchState:
     # -- insertion ---------------------------------------------------------
 
     def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...]) -> None:
-        key, mask = _index_key(seq)
-        self._insert_at(key, mask, rule, premises, seq)
-
-    def _insert_at(self, key: tuple, mask: int, rule: str, premises: tuple[int, ...],
-                   seq: Sequent | None = None) -> None:
-        """Insert the conclusion of bucket ``key`` and mask ``mask`` through
-        ``Database.insert``; ``seq`` is that sequent, or None to build it
-        only if it is stored."""
+        """Insert the conclusion ``seq`` through ``Database.insert``."""
         self._counters["generated"] += 1
-        nid = self.db.insert(key, mask, rule, premises, self.iteration, seq)
+        nid = self.db.insert(seq, rule, premises, self.iteration)
         if nid is None:
             self._counters["forward_subsumed"] += 1
             return
         self._added_now.append(nid)
-        if key[0] and key[1] == self.u.goal_pos:
-            # The first: one premise's rules or one set's joins store at
-            # most one goal sequent, and the search stops after them.
+        if seq.regular and seq.rhs == self.u.goal_pos:
+            # The first: one premise's rules store at most one goal
+            # sequent, and the search stops after them.
             self._goal = nid
 
     def insert_axioms(self) -> list[int]:
@@ -601,10 +613,30 @@ class SearchState:
             self.members.pop(rid, None)
 
     def _fire(self, cs: JoinCandidateSet) -> None:
+        """Insert the conclusions of ``cs``: each takes the set's rank, and
+        the members list the nodes it adds among their consumers once, at the
+        end, as none of them retires meanwhile (see :meth:`_walk`)."""
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
+        u, store, members = self.u, self.store, cs.members
+        start, new = len(store.nodes), []
+        generated = subsumed = 0
         for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
-            self._insert_at((True, t), gamma, rule, cs.members)
+            generated += 1
+            nid = self.db.insert(Sequent(u, True, gamma, 0, 0, t), rule, members,
+                                 self.iteration, cs.needed_rank)
+            if nid is None:
+                subsumed += 1
+                continue
+            self._added_now.append(nid)
+            if nid >= start:  # not a re-derived node
+                new.append(nid)
+            if t == u.goal_pos:  # at most one: one conclusion per target
+                self._goal = nid
+        self._counters["generated"] += generated
+        self._counters["forward_subsumed"] += subsumed
+        if new:
+            store.link(members, new)
 
     # -- one iteration -------------------------------------------------------
 

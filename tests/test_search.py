@@ -63,8 +63,7 @@ def test_budget_below_fixpoint_raises(scott_u):
 
 def put(db, seq, rule, premises=()):
     """``Database.insert`` of the sequent ``seq``: its node id, or None."""
-    key, mask = search._index_key(seq)
-    return db.insert(key, mask, rule, premises, seq=seq)
+    return db.insert(seq, rule, premises)
 
 
 def removal_log(db):
@@ -341,9 +340,11 @@ class LinearScanDatabase(Database):
                 return e
         return None
 
-    def _store(self, seq, key, mask, rule, premises, iteration):
+    def insert(self, seq, rule, premises=(), iteration=0, rank=None):
+        if self._subsumer(*search._index_key(seq), seq) is not None:
+            return None
         same_rhs = self.by_rhs.get(seq.rhs)
-        nid = self.store.add(seq, rule, premises, iteration)
+        nid = self.store.add(seq, rule, premises, iteration, rank)
         self.entries.add(nid)
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
         removed = []
@@ -824,25 +825,53 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
 
 
 def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
-    # The store ranks a join conclusion one above its deepest premise, which
-    # is the rank the walk gave the set when it built it.
+    # A join conclusion takes the rank the walk gave the set when it built
+    # it, which must be one above the conclusion's deepest premise.
     fire = SearchState._fire
     ranks = []
 
     def checked_fire(self, cs):
         start = len(self.store)
         fire(self, cs)
-        for node in self.store.nodes[start:]:
+        nodes = self.store.nodes
+        for node in nodes[start:]:
             assert node.rule in search.JOIN_RULES and node.premises == cs.members
             assert node.rank == cs.needed_rank, cs.members
+            assert node.rank == max(nodes[p].rank for p in node.premises) + 1, cs.members
             ranks.append(node.rank)
 
     monkeypatch.setattr(SearchState, "_fire", checked_fire)
-    goals = random_formulas(2026, 3, 12, 150) + [nishimura(i) for i in range(1, 17)]
+    # Corpus formula #162 extends a set by a candidate ranked above all its
+    # members, the one case where the set's rank is not its base's.
+    goals = (random_formulas(2026, 3, 12, 150) + random_formulas(2026, 3, 12, 163)[162:]
+             + [nishimura(i) for i in range(1, 17)])
     for goal in goals:
         for backward_subsumption in (True, False):
             fsearch(goal, backward_subsumption=backward_subsumption)
     assert len(ranks) > 500 and max(ranks) >= 3
+
+
+def test_consumer_links_invert_the_premise_links():
+    # The search links a fired set's members to the conclusions it stored
+    # once, after the set; each consumer list must still hold, in ascending
+    # order and with multiplicity, the nodes whose premises name the node.
+    # The last goal has a set re-derive a retired join conclusion, whose
+    # node keeps its first premises and so gains no consumer link.
+    goals = ([_chain(n) for n in range(4, 11)] + [nishimura(i) for i in range(1, 17)]
+             + random_formulas(2026, 3, 12, 150) + random_formulas(78, 5, 44, 500)[226:227])
+    joins = 0
+    for goal in goals:
+        for backward_subsumption in (True, False):
+            store = fsearch(goal, backward_subsumption=backward_subsumption).store
+            users = {}
+            for nid, node in enumerate(store.nodes):
+                for p in node.premises:
+                    users.setdefault(p, []).append(nid)
+                joins += node.rule in search.JOIN_RULES
+            for p in range(len(store)):
+                assert store.consumers.get(p, []) == users.get(p, []), (goal, p)
+            assert set(store.consumers) == set(users)
+    assert joins > 1000
 
 
 def test_a_rederived_sequent_keeps_its_first_derivation(monkeypatch):
@@ -853,15 +882,16 @@ def test_a_rederived_sequent_keeps_its_first_derivation(monkeypatch):
     add = search.DerivationStore.add
     rederived = []
 
-    def checked_add(self, seq, rule, premises, iteration):
+    def checked_add(self, seq, rule, premises, iteration, rank=None):
         nid = self.by_key.get(seq.key)
         if nid is None:
-            return add(self, seq, rule, premises, iteration)
+            return add(self, seq, rule, premises, iteration, rank)
         node = self.nodes[nid]
         first = (node.rule, node.premises, node.rank)
         depth = (max(self.nodes[p].rank for p in premises)
                  + (rule in search.JOIN_RULES))
-        assert add(self, seq, rule, premises, iteration) == nid
+        assert rank is None or rank == depth
+        assert add(self, seq, rule, premises, iteration, rank) == nid
         assert (node.rule, node.premises, node.rank) == first
         rederived.append((node.rule, node.rank, rule, depth))
         return nid
