@@ -242,8 +242,8 @@ class _ModelToDerivation:
     def _join(self, w: int, ups: list[int], flavor: str, c: int) -> int:
         prems = [self.irr_of[(w, y)] for y in ups]
         parts = JoinParts([self.store.nodes[p].seq for p in prems])
-        gamma = parts.at_gamma(c) if flavor == JOIN_AT else parts.or_gamma()
-        return self.store.add(Sequent(self.u, True, gamma, 0, 0, c), flavor, tuple(prems), 0)
+        return self.store.add(Sequent(self.u, True, parts.conclusion(c, flavor), 0, 0, c),
+                              flavor, tuple(prems), 0)
 
     def run(self) -> int:
         hs = heights(self.model)

@@ -213,18 +213,6 @@ class JoinParts:
         return not ((self.up_mask >> s.rhs) & 1 or self.sig & ~(s.sigma | s.theta)
                     or s.sigma & ~self.meet)
 
-    def at_gamma(self, t: int) -> int:
-        """Left side of the join onto prime ``t``, which the joined stable
-        atoms must not hold."""
-        return self.sig | (self.or_gamma() & ~(1 << t))
-
-    def or_gamma(self) -> int:
-        """Left side of the join onto a disjunction of two right sides."""
-        return self._left(self.cover)
-
-    def _left(self, cover: int) -> int:
-        return self.sig | self.theta & (self.u.var_mask | cover)
-
     def conclusions(self, ups: int, cover: int) -> Iterator[tuple[int, str, int]]:
         """``(target, rule, left side)`` of each join of these premises, with
         ``ups`` as the right sides and ``cover`` as the supported
@@ -234,7 +222,7 @@ class JoinParts:
         ``cover`` to fire it, and those of the set and all its candidates to
         bound the sets below it.  Support is not checked."""
         u = self.u
-        gamma = self._left(cover)
+        gamma = self.sig | self.theta & (u.var_mask | cover)
         if self.ups_in_ps3:
             for t in u.prime_rhs:
                 if not (self.sig >> t) & 1:
@@ -242,6 +230,12 @@ class JoinParts:
         for t, c1, c2 in u.or_targets:
             if (ups >> c1) & 1 and (ups >> c2) & 1:
                 yield t, JOIN_OR, gamma
+
+    def conclusion(self, t: int, rule: str) -> int:
+        """The left side of the ``rule`` join of these premises onto ``t``,
+        one of their own :meth:`conclusions`."""
+        return next(gamma for c, r, gamma in self.conclusions(self.up_mask, self.cover)
+                    if c == t and r == rule)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +426,8 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
             raise NotApplicable("target is not prime")
         if (parts.sig >> t) & 1:
             raise NotApplicable("target occurs in the joined stable atoms")
-        return Sequent(u, True, parts.at_gamma(t), 0, 0, t)
-    if flavor == "or":
+        rule = JOIN_AT
+    elif flavor == "or":
         for y in ups:
             if not (u.ps4_mask >> y) & 1:
                 raise NotApplicable(
@@ -443,5 +437,7 @@ def apply_join(premises: Iterable[Sequent], flavor: str, target: Formula) -> Seq
             raise NotApplicable("target is not a disjunction")
         if u.pos[target.left.id] not in ups or u.pos[target.right.id] not in ups:
             raise NotApplicable("both disjuncts must occur among the premises")
-        return Sequent(u, True, parts.or_gamma(), 0, 0, t)
-    raise NotApplicable(f"unknown join flavor {flavor!r}")
+        rule = JOIN_OR
+    else:
+        raise NotApplicable(f"unknown join flavor {flavor!r}")
+    return Sequent(u, True, parts.conclusion(t, rule), 0, 0, t)

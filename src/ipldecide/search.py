@@ -9,15 +9,16 @@ The stop is checked after each premise's rule instances and after each
 join set fires, so the rest of the iteration is never applied.
 
 Every conclusion goes into the database through ``Database.insert``.  With
-backward subsumption on, inserting a strictly stronger sequent retires the
-weaker entries and, transitively, every entry whose stored derivation used
-one, and reports them to the database's removal listeners; retired store
-nodes are tombstoned, never deleted, so earlier proofs stay replayable.
-Each node gets its rank, the join depth of its derivation, as it is added:
-the derivation store computes it from the premises, except for the
-conclusions of a fired join set, which take the rank the set was built
-with.  A retired sequent derived again keeps its node, and with it its
-first derivation and rank.
+backward subsumption on, inserting a sequent retires the entries it strictly
+subsumes and reports each, with the new node as its replacement, to the
+database's removal listeners; retired store nodes are tombstoned, never
+deleted, so earlier proofs stay replayable.  So every retired entry is
+subsumed by a live one, and as ``subsumes`` is transitive, subsumption is
+monotone: a sequent the database subsumes stays subsumed for the rest of
+the run, and no sequent is stored twice.  Each node gets its rank, the join
+depth of its derivation, as it is added: the derivation store computes it
+from the premises, except for the conclusions of a fired join set, which
+take the rank the set was built with.
 
 Both subsumption checks go through an index built from the definition of
 ``rules.subsumes``: a regular sequent can only be subsumed by a regular one
@@ -37,12 +38,9 @@ one store tail.  Each conclusion is built as a ``Sequent`` once and
 inserted with one call: it is either confirmed against an index hit with
 ``subsumes`` or stored, and both need it.  Only the regular sequents that
 the walk's bound queries below a set stay masks, and one of them is built
-only to confirm a hit.  When a join set fires, its members list the nodes
-it stored among their consumers once, after its last conclusion: none of
-them retires meanwhile (see the weight argument below), so no cascade reads
-those lists before they are complete.  The closure of a regular premise's
-left side is computed only when an implication rule has the premise's right
-side as consequent: no other rule reads it.
+only to confirm a hit.  The closure of a regular premise's left side is
+computed only when an implication rule has the premise's right side as
+consequent: no other rule reads it.
 
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
@@ -68,15 +66,13 @@ extensions by a supporting premise can.  A candidate retired before the
 walk reaches it is skipped, and so is a premise retired before its walk
 starts, but no member of a set retires while the walk is below that set,
 because the sequent weight (``rules.weight``) strictly drops from each
-premise to its conclusion.  A conclusion J that strictly subsumes an
-entry D holds D's right side and at least its left side, so weight(D) <=
-weight(J); every entry the cascade then retires derives from D, so weighs
-at most weight(D); and each premise m of J's rule instance weighs more
-than J.  So the cascade never reaches m, and as every set fired below a
-set holds its members, none of them retires during its walk.  A
-premise's singleton set and its candidates are built only when its walk
-starts, so the walks after the one that stores a goal sequent build
-nothing.
+premise to its conclusion: a conclusion J that strictly subsumes an entry
+D holds D's right side and at least its left side, so weight(D) <=
+weight(J) < weight(m) for every premise m of J.  So J retires none of its
+premises, and as every set fired below a set holds its members, none of
+them retires during its walk.  A premise's singleton set and its
+candidates are built only when its walk starts, so the walks after the
+one that stores a goal sequent build nothing.
 
 Before descending into a set ``S`` that has candidates, the walk bounds
 every set below it.  A set ``T`` below holds ``S`` and some candidates, so
@@ -95,10 +91,10 @@ is a prime outside ``S``'s stable parts and needs ``S``'s right sides in
 ``ps3``; a ``join-or`` target needs both disjuncts among the right sides
 of ``S`` and the candidates.  If the database subsumes the regular
 sequent with that left side on every such target, every conclusion below
-is forward subsumed and the subtree is skipped.  The skip is exact:
-nothing inserted means no backward subsumption, no retired entry and no
-goal sequent, so the database stays as the bound read it and the store
-is the one the full walk would leave.
+is forward subsumed, now and at every later wave, and the subtree is
+skipped.  The skip is exact: nothing inserted means no backward
+subsumption, no retired entry and no goal sequent, so the database stays
+as the bound read it and the store is the one the full walk would leave.
 
 Every run delays joins by wave, so that every countermodel has minimal
 height.  A walk that reaches a set of join rank above the current wave
@@ -109,21 +105,17 @@ earlier ones.  Once everything else has saturated, the wave increases, and
 each deferred set whose members are all still live is walked again, in
 that order, over its candidates that are still live, with both bounds read
 against the database as it stands then; a set still above the new wave is
-deferred again.  So every set fires through a walk.  The support bound is
-exact under waves too, as an unsupported set fires at no wave.  The
-subsumption bound reads the database now, while a deferred set fires
-later, when a backward-subsumption cascade (which retires consumers
-without a replacement) may have taken away what subsumes its conclusions
-now.  So the bound only skips a subtree whose candidates all rank below
-the wave: every set below then ranks at or under it and fires in this
-walk.  The first wave at which a goal sequent appears is then the least
-possible join depth, i.e. the minimal countermodel height.
+deferred again.  So every set fires through a walk.  Both bounds stay
+exact under waves: an unsupported set fires at no wave, and as subsumption
+is monotone, a conclusion the database subsumes when the bound reads it is
+still subsumed whenever its set fires.  The first wave at which a goal
+sequent appears is then the least possible join depth, i.e. the minimal
+countermodel height.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,29 +149,24 @@ class StoreNode:
 class DerivationStore:
     """Append-only DAG of proved sequents with rule labels and premise links.
 
-    One node per sequent; re-derivations of a stored sequent keep the first
-    derivation, and with it the first rank.  A node's rank is the join depth
-    of its derivation: 0 for a regular axiom, -1 for an irregular one, the
-    deepest premise's rank plus one for a join, and the deepest premise's
-    rank for every other rule.  ``add`` computes it from the premises unless
-    the caller passes it, as the search does for a fired join set, which
-    holds that rank already.  ``consumers`` inverts the premise links for
-    backward subsumption cascades: each premise lists its consumers in
-    ascending order, once per premise link.
+    One node per sequent: ``add`` hands back the node of a sequent already
+    stored, which ``countermodel.derivation_from_model`` relies on; the
+    search never adds one twice.  A node's rank is the join depth of its derivation: 0 for a
+    regular axiom, -1 for an irregular one, the deepest premise's rank plus
+    one for a join, and the deepest premise's rank for every other rule.
+    ``add`` computes it from the premises unless the caller passes it, as
+    the search does for a fired join set, which holds that rank already.
     """
 
     def __init__(self, universe: GoalUniverse):
         self.u = universe
         self.nodes: list[StoreNode] = []
         self.by_key: dict[tuple, int] = {}
-        self.consumers: dict[int, list[int]] = {}
 
     def add(self, seq: Sequent, rule: str, premises: tuple[int, ...], iteration: int,
             rank: int | None = None) -> int:
-        """The node id of ``seq``, added unless stored.  A caller that passes
-        the new node's ``rank`` also lists the node among its premises'
-        consumers itself (:meth:`link`), as the search does once per fired
-        join set."""
+        """The node id of ``seq``, added with rank ``rank``, or the one its
+        premises give, unless stored."""
         key = seq.key
         nid = self.by_key.get(key)
         if nid is not None:
@@ -189,23 +176,11 @@ class DerivationStore:
         if rank is None:
             if premises:
                 rank = max([nodes[p].rank for p in premises]) + (rule in JOIN_RULES)
-                self.link(premises, (nid,))
             else:
                 rank = 0 if seq.regular else -1
         nodes.append(StoreNode(seq, rule, premises, iteration, rank))
         self.by_key[key] = nid
         return nid
-
-    def link(self, premises: tuple[int, ...], nids: tuple[int, ...] | list[int]) -> None:
-        """List the nodes ``nids``, in order, among the consumers of each of
-        ``premises``."""
-        consumers = self.consumers
-        for p in premises:
-            users = consumers.get(p)
-            if users is None:
-                consumers[p] = list(nids)
-            else:
-                users.extend(nids)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -363,41 +338,33 @@ class Database:
                iteration: int = 0, rank: int | None = None) -> Optional[int]:
         """Store ``seq`` unless an entry subsumes it (:meth:`_subsumer`), make
         it live and return its node id, or return None when it is subsumed.
-        In compact mode also retire every entry ``seq`` strictly subsumes
-        together with its stored consequences, and report them to the
-        ``removal_listeners``.  ``rank`` goes to :meth:`DerivationStore.add`:
-        a caller that gives it links the premises' consumers itself."""
+        In compact mode also retire every entry ``seq`` strictly subsumes, and
+        report them, in node order and each with the new node as its
+        replacement, to the ``removal_listeners``.  ``rank`` goes to
+        :meth:`DerivationStore.add`."""
         key, mask = _index_key(seq)
         if self._subsumer(key, mask, seq) is not None:
             return None
         nid = self.store.add(seq, rule, premises, iteration, rank)
         grades = self._link(nid, seq.rhs, key, mask)
-        doomed = []
-        if self.compact_mode:
-            k = mask.bit_count()
-            outside = ~mask
-            nodes = self.store.nodes
-            for size, group in grades.items():
-                if size < k:
-                    for m in group:
-                        if not m & outside and subsumes(nodes[group[m]].seq, seq):
-                            doomed.append(group[m])
-        if not doomed:
+        if not self.compact_mode:
             return nid
-        doomed.sort()
-        removed: list[tuple[int, Optional[int]]] = []
-        queue = deque((e, nid) for e in doomed)
-        while queue:
-            e, repl = queue.popleft()
-            if e not in self.entries:
-                continue
-            self._unlink(e)
-            removed.append((e, repl))
-            for c in self.store.consumers.get(e, ()):
-                if c in self.entries:
-                    queue.append((c, None))
-        for listener in self.removal_listeners:
-            listener(removed)
+        k = mask.bit_count()
+        outside = ~mask
+        nodes = self.store.nodes
+        doomed = []
+        for size, group in grades.items():
+            if size < k:
+                for m in group:
+                    if not m & outside and subsumes(nodes[group[m]].seq, seq):
+                        doomed.append(group[m])
+        if doomed:
+            doomed.sort()
+            for e in doomed:
+                self._unlink(e)
+            removed = [(e, nid) for e in doomed]
+            for listener in self.removal_listeners:
+                listener(removed)
         return nid
 
     def dump(self, annotated: bool = False) -> str:
@@ -584,8 +551,7 @@ class SearchState:
     def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
         """Whether no set that extends ``cs`` by some of ``cands``, ``cs``
         included, is supported, or the database subsumes every conclusion of
-        them all and none would be deferred (the bounds of the module
-        docstring)."""
+        them all (the bounds of the module docstring)."""
         u = self.u
         nodes = self.store.nodes
         by_ante = u.imps_by_ante
@@ -596,8 +562,6 @@ class SearchState:
             cover |= by_ante.get(rhs, 0)
         if cs.sig & u.imp_mask & ~cover:
             return True
-        if max(nodes[c].rank for c in cands) >= self.cap:
-            return False
         subsumer = self.db._subsumer
         for t, _rule, gamma in cs.conclusions(ups, cover):
             if subsumer((True, t), gamma) is None:
@@ -607,19 +571,16 @@ class SearchState:
     def _live(self, cs: JoinCandidateSet) -> bool:
         return all(m in self.members for m in cs.members)
 
-    def _on_removed(self, removed: list[tuple[int, Optional[int]]]) -> None:
+    def _on_removed(self, removed: list[tuple[int, int]]) -> None:
         self._counters["backward_removed"] += len(removed)
         for rid, _repl in removed:
             self.members.pop(rid, None)
 
     def _fire(self, cs: JoinCandidateSet) -> None:
-        """Insert the conclusions of ``cs``: each takes the set's rank, and
-        the members list the nodes it adds among their consumers once, at the
-        end, as none of them retires meanwhile (see :meth:`_walk`)."""
+        """Insert the conclusions of ``cs``, each with the set's rank."""
         if not cs.supported:
             return  # never fires: only an extension by a supporting premise can
-        u, store, members = self.u, self.store, cs.members
-        start, new = len(store.nodes), []
+        u, members = self.u, cs.members
         generated = subsumed = 0
         for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
             generated += 1
@@ -629,14 +590,10 @@ class SearchState:
                 subsumed += 1
                 continue
             self._added_now.append(nid)
-            if nid >= start:  # not a re-derived node
-                new.append(nid)
             if t == u.goal_pos:  # at most one: one conclusion per target
                 self._goal = nid
         self._counters["generated"] += generated
         self._counters["forward_subsumed"] += subsumed
-        if new:
-            store.link(members, new)
 
     # -- one iteration -------------------------------------------------------
 

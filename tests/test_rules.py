@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ipldecide.countermodel import derivation_from_model, extract_model
 from ipldecide.formula import build_universe, iter_bits, parse
 from ipldecide.generate import nishimura, random_formulas
-from ipldecide.rules import (JoinParts, NotApplicable, Weight, apply_and,
+from ipldecide.rules import (JOIN_AT, JOIN_OR, JoinParts, NotApplicable, Weight, apply_and,
                              apply_imp_in_irregular, apply_imp_in_regular,
                              apply_imp_notin, apply_join, apply_or, axioms, covers,
                              maximal_avoiding, minimal_shifts, regular,
@@ -317,7 +317,7 @@ class ReferenceJoinParts:
     reference)."""
 
     def __init__(self, seqs):
-        u = seqs[0].u
+        self.u = u = seqs[0].u
         self.ups = ups = frozenset(s.rhs for s in seqs)
         sig_at = sig_imp = 0
         th_at = th_imp = u.full_mask
@@ -343,17 +343,31 @@ class ReferenceJoinParts:
     def sig(self):
         return self.sig_at | self.sig_imp
 
-    def at_gamma(self, t):
-        return self.sig_at | (self.th_at & ~(1 << t)) | self.sig_imp | self.th_imp
+    def conclusions(self):
+        """``(target, rule, left side)`` of each join of the premises: onto
+        each prime outside the stable atoms when every right side is an
+        antecedent on the left of the goal, then onto each disjunction of
+        two right sides."""
+        u = self.u
+        joins = []
+        if all((u.ps3_mask >> y) & 1 for y in self.ups):
+            joins += [(t, JOIN_AT, self.sig_at | (self.th_at & ~(1 << t)) | self.sig_imp
+                       | self.th_imp)
+                      for t in u.prime_rhs if not (self.sig_at >> t) & 1]
+        joins += [(t, JOIN_OR, self.sig_at | self.th_at | self.sig_imp | self.th_imp)
+                  for t, c1, c2 in u.or_targets if c1 in self.ups and c2 in self.ups]
+        return joins
 
-    def or_gamma(self):
-        return self.sig_at | self.th_at | self.sig_imp | self.th_imp
 
-
-def _join_fields(parts, u):
-    """Everything the joins read of their parts."""
+def _join_fields(parts):
+    """Everything the joins read of their parts: the right sides, the
+    stable parts, support and every join the search fires."""
     return (parts.up_mask, parts.sig, parts.supported,
-            [parts.at_gamma(t) for t in u.prime_rhs], parts.or_gamma())
+            list(parts.conclusions(parts.up_mask, parts.cover)))
+
+
+def _reference_fields(ref):
+    return ref.up_mask, ref.sig, ref.supported, ref.conclusions()
 
 
 @settings(max_examples=300, deadline=None)
@@ -374,7 +388,7 @@ def test_folded_join_parts_match_the_premise_list(seed, nvars, rng):
 
     seqs = [premise() for _ in range(rng.randint(2, 5))]
     whole = JoinParts(seqs)
-    assert _join_fields(whole, u) == _join_fields(ReferenceJoinParts(seqs), u)
+    assert _join_fields(whole) == _reference_fields(ReferenceJoinParts(seqs))
     assert whole.covered == all(covers(p, q) for p in seqs for q in seqs)
     aggregates = ("up_mask", "sig", "meet", "theta", "cover")
     for i, extra in enumerate(seqs):
@@ -382,7 +396,7 @@ def test_folded_join_parts_match_the_premise_list(seed, nvars, rng):
         base = JoinParts(rest)
         folded = JoinParts([extra])
         folded.fold(base, extra)
-        assert _join_fields(folded, u) == _join_fields(whole, u)
+        assert _join_fields(folded) == _join_fields(whole)
         assert ([getattr(folded, name) for name in aggregates]
                 == [getattr(whole, name) for name in aggregates])
         assert base.admits(extra) == (

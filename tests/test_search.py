@@ -88,8 +88,9 @@ def test_insert_smaller_left_side_is_forward_subsumed():
     assert put(db, rseq(u, ["p"], "q"), "seed") is None
 
 
-def test_insert_backward_cascade_removes_consequences():
-    # A two-step chain hanging off the weaker entry disappears with it.
+def test_insert_backward_subsumption_retires_only_the_subsumed_entry():
+    # A two-step chain hanging off the weaker entry stays live: only what
+    # the new sequent subsumes retires, with the new node as replacement.
     u = build_universe(parse("(x & a & b) -> ((q | q) & q)"))
     db = Database(u, compact_mode=True)
     removed = removal_log(db)
@@ -98,10 +99,11 @@ def test_insert_backward_cascade_removes_consequences():
     c2 = put(db, iseq(u, ["x"], ["a"], "(q | q) & q"), "and", (c1,))
     assert not removed
     new = put(db, iseq(u, ["x"], ["a", "b"], "q"), "seed")
-    assert removed == [(weak, new), (c1, None), (c2, None)]
-    assert db.entries == {new}
-    # The store keeps the tombstoned nodes replayable.
-    assert db.store.nodes[c2].premises == (c1,)
+    assert removed == [(weak, new)]
+    assert db.entries == {new, c1, c2}
+    # The store keeps the tombstoned node replayable.
+    assert db.store.nodes[c1].premises == (weak, weak)
+    assert db.store.nodes[weak].seq == iseq(u, ["x"], ["a"], "q")
 
 
 def test_insert_without_compact_mode_keeps_subsumed_entries():
@@ -349,18 +351,10 @@ class LinearScanDatabase(Database):
         self.by_rhs.setdefault(seq.rhs, set()).add(nid)
         removed = []
         if self.compact_mode and same_rhs:
-            doomed = [e for e in sorted(same_rhs)
-                      if e != nid and subsumes(self.store.nodes[e].seq, seq)]
-            queue = deque((e, nid) for e in doomed)
-            while queue:
-                e, repl = queue.popleft()
-                if e not in self.entries:
-                    continue
+            removed = [(e, nid) for e in sorted(same_rhs)
+                       if e != nid and subsumes(self.store.nodes[e].seq, seq)]
+            for e, _repl in removed:
                 self._unlink(e)
-                removed.append((e, repl))
-                for c in self.store.consumers.get(e, ()):
-                    if c in self.entries:
-                        queue.append((c, None))
         if removed:
             for listener in self.removal_listeners:
                 listener(removed)
@@ -381,7 +375,7 @@ def linear_minimum_compact(db):
 
 # Two right sides and two stable parts over four left positions, so that
 # regular and irregular sequents share right sides and irregular ones share
-# stable parts; premises are earlier store nodes, so retiring one cascades.
+# stable parts; premises are earlier store nodes.
 _INDEX_U = build_universe(parse("(a -> b) & (c -> d) & a & c -> b | d"))
 _INDEX_LEFT = list(iter_bits(_INDEX_U.gbar))[:4]
 _INDEX_RHS = [_INDEX_U.position_of(parse(t)) for t in ("b", "b | d")]
@@ -705,8 +699,7 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     built = []
     monkeypatch.setattr(search, "JoinCandidateSet",
                         lambda *args: built.append(1) or JoinCandidateSet(*args))
-    # The ladders run with and without backward subsumption, whose cascades
-    # can take away what the subsumption bound read.
+    # The ladders run with and without backward subsumption.
     goals = [(_chain(n), True) for n in range(4, 11)]
     goals += [(nishimura(i), bw) for i in range(1, 15) for bw in (True, False)]
     goals += [(nishimura(i), True) for i in (15, 16)]
@@ -720,6 +713,10 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
         "p4 & (false | ~(p1 | p2) -> p1 -> p1) -> p4",
         "p3 | (p1 -> false | p2) & (~~~(p3 | p4 | ~p3) | ~p2)",
         "~~(p1 | (p2 -> ~(false | p1) | p2)) -> p1")]
+    # The subsumption bound skips a subtree here whose candidates reach the
+    # wave, so that some sets below it would be deferred: subsumption is
+    # monotone, so their conclusions stay subsumed until their wave.
+    goals += [(parse("p2 | ~(p3 & (p1 & p2)) | (p2 & p3 -> p4)"), bw) for bw in (True, False)]
     pruned = [_store_trace(g, bw, built) for g, bw in goals]
     monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
     full = [_store_trace(g, bw, built) for g, bw in goals]
@@ -788,7 +785,7 @@ def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
         fire(self, cs)
 
     monkeypatch.setattr(SearchState, "_fire", live_only)
-    for text in ("(p2 & p4 -> p1) | p2 | ~~(p3 & p3)",
+    for text in ("~~p1 -> p1 & p1",
                  "~(~p1 | p2 | p1) & ~(p1 -> p1 & p3) -> p1 | p1 & p3",
                  "(~(p2 & p3) -> p3 -> p3) -> p3 | (~(p1 -> p3) -> ~~~p4) | p1"):
         fsearch(parse(text))
@@ -797,10 +794,10 @@ def test_deferred_sets_with_a_retired_member_never_fire(monkeypatch):
 def test_a_firing_set_never_retires_its_own_members(monkeypatch):
     # The weight lemma of the search module: a join conclusion that
     # backward-subsumes an entry weighs at least as much as it, and less
-    # than each of its premises, so the cascade never reaches a premise.
-    # Hence no member of a set retires while the set or one below it fires,
-    # and every set fires with all its members live.  Other walked premises
-    # do retire during fires on these goals, so the check is not vacuous.
+    # than each of its premises, so it retires none of them.  Hence no
+    # member of a set retires while the set or one below it fires, and
+    # every set fires with all its members live.  Walked premises do retire
+    # on these goals, between their walks.
     fire, on_removed = SearchState._fire, SearchState._on_removed
     retired = []
 
@@ -851,63 +848,39 @@ def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
     assert len(ranks) > 500 and max(ranks) >= 3
 
 
-def test_consumer_links_invert_the_premise_links():
-    # The search links a fired set's members to the conclusions it stored
-    # once, after the set; each consumer list must still hold, in ascending
-    # order and with multiplicity, the nodes whose premises name the node.
-    # The last goal has a set re-derive a retired join conclusion, whose
-    # node keeps its first premises and so gains no consumer link.
-    goals = ([_chain(n) for n in range(4, 11)] + [nishimura(i) for i in range(1, 17)]
-             + random_formulas(2026, 3, 12, 150) + random_formulas(78, 5, 44, 500)[226:227])
-    joins = 0
-    for goal in goals:
-        for backward_subsumption in (True, False):
-            store = fsearch(goal, backward_subsumption=backward_subsumption).store
-            users = {}
-            for nid, node in enumerate(store.nodes):
-                for p in node.premises:
-                    users.setdefault(p, []).append(nid)
-                joins += node.rule in search.JOIN_RULES
-            for p in range(len(store)):
-                assert store.consumers.get(p, []) == users.get(p, []), (goal, p)
-            assert set(store.consumers) == set(users)
-    assert joins > 1000
-
-
-def test_a_rederived_sequent_keeps_its_first_derivation(monkeypatch):
-    # A sequent that backward subsumption retired can be derived again by
-    # another rule instance, whose derivation may have another join depth.
-    # The store hands back the node it holds, with its id, premises and
-    # rank: the first derivation stays the one on record.
+def test_a_retired_sequent_stays_forward_subsumed(monkeypatch):
+    # Backward subsumption retires only what a new sequent strictly
+    # subsumes, so every retired sequent keeps a live subsumer and no rule
+    # instance hands the store a sequent it holds.  On these goals, retiring
+    # what was derived from a retired sequent as well, without a subsumer,
+    # let the search store such sequents again; on the last two a retired
+    # sequent is derived again and forward subsumed.
     add = search.DerivationStore.add
-    rederived = []
+    readded = []
 
     def checked_add(self, seq, rule, premises, iteration, rank=None):
-        nid = self.by_key.get(seq.key)
-        if nid is None:
-            return add(self, seq, rule, premises, iteration, rank)
-        node = self.nodes[nid]
-        first = (node.rule, node.premises, node.rank)
-        depth = (max(self.nodes[p].rank for p in premises)
-                 + (rule in search.JOIN_RULES))
-        assert rank is None or rank == depth
-        assert add(self, seq, rule, premises, iteration, rank) == nid
-        assert (node.rule, node.premises, node.rank) == first
-        rederived.append((node.rule, node.rank, rule, depth))
-        return nid
+        if seq.key in self.by_key:
+            readded.append((rule, to_text(goal)))
+        return add(self, seq, rule, premises, iteration, rank)
 
     monkeypatch.setattr(search.DerivationStore, "add", checked_add)
-    # An "or" node of rank 0 derived again at rank -1.
-    fsearch(random_formulas(78, 5, 44, 500)[445])
-    assert ("or", 0, "or", -1) in rederived
-    # An "imp-notin" node of rank 0 derived again at rank 1.
-    rederived.clear()
-    fsearch(random_formulas(77, 4, 40, 1500)[1393])
-    assert ("imp-notin", 0, "imp-notin", 1) in rederived
-    # A "join-or" node of rank 1 derived again at rank 2.
-    rederived.clear()
-    fsearch(random_formulas(78, 5, 44, 500)[226])
-    assert ("join-or", 1, "join-or", 2) in rederived
+    retirements = 0
+    for goal in (random_formulas(77, 4, 40, 1500)[1393],
+                 random_formulas(78, 5, 44, 500)[226],
+                 random_formulas(78, 5, 44, 500)[445]):
+        for backward_subsumption in (True, False):
+            state = SearchState(build_universe(goal),
+                                backward_subsumption=backward_subsumption)
+            removed = removal_log(state.db)
+            out = state.run()
+            for rid, repl in removed:
+                seq = out.store.nodes[rid].seq
+                assert subsumes(seq, out.store.nodes[repl].seq)
+                hit = out.db._subsumer(*search._index_key(seq), seq)
+                assert rid not in out.db and hit is not None, (to_text(goal), rid)
+            retirements += len(removed)
+    assert not readded
+    assert retirements > 0
 
 
 # Minimal countermodel heights of nishimura(1..18).
