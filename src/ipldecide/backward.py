@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .formula import (AND, IMP, OR, Formula, GoalUniverse, build_universe,
-                      iter_bits, to_text)
+                      iter_bits, to_tex, to_text)
 from .search import Database
 
 
@@ -556,7 +556,7 @@ def typeset_g3i(node: G3Node, u: GoalUniverse) -> str:
     def emit(n: G3Node) -> None:
         for c in n.children:
             emit(c)
-        seq = f"{u.render_mask(n.psi, empty='')} \\vdash {to_text(u.sf[n.rhs])}"
+        seq = f"{u.render_mask(n.psi, empty='', render=to_tex)} \\vdash {to_tex(u.sf[n.rhs])}"
         if not n.children:
             lines.append("\\AxiomC{}")
             lines.append(f"\\RightLabel{{{n.rule}}}")

@@ -16,6 +16,7 @@ at API boundaries too: :func:`iter_bits` lists the positions of a set and
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 VAR, BOT, AND, OR, IMP = range(5)
@@ -319,6 +320,17 @@ def to_text(f: Formula) -> str:
     return f"{_wrap(f.left, _PREC_IMP + 1)} -> {to_text(f.right)}"
 
 
+_TEX_SYMBOLS = {"&": "\\land", "|": "\\lor", "->": "\\to", "~": "\\neg ", "false": "\\bot",
+                "_": "\\_"}
+_TEX_TOKEN = r"->|[&|~_]|\bfalse\b"
+
+
+def to_tex(f: Formula) -> str:
+    """``to_text(f)`` as LaTeX math: each connective and ``false`` becomes
+    its symbol, and ``_`` in an atom name is escaped."""
+    return re.sub(_TEX_TOKEN, lambda m: _TEX_SYMBOLS[m.group()], to_text(f))
+
+
 # ---------------------------------------------------------------------------
 # Goal universes
 # ---------------------------------------------------------------------------
@@ -523,10 +535,10 @@ class GoalUniverse:
         """|closure(mask) restricted to left subformulas|, the weight head."""
         return (self.closure(mask) & self.sfl).bit_count()
 
-    def render_mask(self, mask: int, empty: str = ".") -> str:
+    def render_mask(self, mask: int, empty: str = ".", render=to_text) -> str:
         if not mask:
             return empty
-        return ", ".join(to_text(self.sf[i]) for i in iter_bits(mask))
+        return ", ".join(render(self.sf[i]) for i in iter_bits(mask))
 
 
 def build_universe(goal: Formula) -> GoalUniverse:

@@ -225,7 +225,7 @@ def typeset_export(model: KripkeModel) -> str:
         for i, w in enumerate(sorted(ws)):
             x, y = 2.5 * i, 1.5 * (maxh - h)
             coords[w] = (x, y)
-            atoms = ",".join(sorted(model.valuation[w]))
+            atoms = ",".join(sorted(model.valuation[w])).replace("_", "\\_")
             out.append(f"  \\node (w{w}) at ({x},{y}) {{{w}: ${atoms}$}};")
     for a, b in model.covering_pairs():
         out.append(f"  \\draw (w{a}) -- (w{b});")

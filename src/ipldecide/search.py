@@ -46,44 +46,40 @@ Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
 right side admissible as a join participant (it must occur as an
 antecedent on the left of the goal, or as a disjunct on the right).  No
-set is stored.  An iteration registers all its new premises as members,
-oldest first, and then starts a depth-first walk from each, newest first:
-from the premise's singleton set over the live members registered before
-it that the set admits.  The walk visits those candidates newest first;
-for each it walks the extension by that candidate over the candidates
-before it that the extension admits, and fires the set itself last.  So
-every set is walked once, from its newest member, and built once, from
-its base set in constant time, with the aggregate masks of
-``rules.JoinParts`` (its right sides, the union of its stable parts, the
-intersection of its left sides, its common losable part and the
-implications its right sides support); its rank is the larger of the
-base's and the new premise's rank plus one.  The sets of an iteration fire
-in descending order of their member lists, each sorted newest first, so
-every set fires after each superset of it that fires: where a superset's
-conclusion subsumes a subset's, the subset's is forward subsumed instead
-of stored and then retired.  An unsupported set never fires; only its
-extensions by a supporting premise can.  A candidate retired before the
-walk reaches it is skipped, and so is a premise retired before its walk
-starts, but no member of a set retires while the walk is below that set,
-because the sequent weight (``rules.weight``) strictly drops from each
-premise to its conclusion: a conclusion J that strictly subsumes an entry
-D holds D's right side and at least its left side, so weight(D) <=
-weight(J) < weight(m) for every premise m of J.  So J retires none of its
-premises, and as every set fired below a set holds its members, none of
-them retires during its walk.  A premise's singleton set and its
-candidates are built only when its walk starts, so the walks after the
-one that stores a goal sequent build nothing.
+set is stored.  An iteration registers its new premises ranked below the
+wave as members, oldest first, and then starts a depth-first walk from
+each, newest first: from the premise's singleton set over the members
+registered before it that the set admits.  The walk visits those
+candidates newest first; for each it walks the extension by that
+candidate over the candidates before it that the extension admits, and
+fires the set itself last.  So every set is walked once, from its newest
+member, and built once, from its base set in constant time, with the
+aggregate masks of ``rules.JoinParts`` (its right sides, the union of its
+stable parts, the intersection of its left sides, its common losable part
+and the implications its right sides support); its rank is the larger of
+the base's and the new premise's rank plus one.  The sets of an iteration
+fire in descending order of their member lists, each sorted newest first,
+so every set fires after each superset of it that fires: where a
+superset's conclusion subsumes a subset's, the subset's is forward
+subsumed instead of stored and then retired.  An unsupported set never
+fires; only its extensions by a supporting premise can.  Members and
+candidates are irregular, and walks insert only join conclusions, which
+are regular; a regular sequent strictly subsumes only regular entries, so
+no member retires while walks run, and every set walked has all its
+members live.  A premise's singleton set and its candidates are built
+only when its walk starts, so the walks after the one that stores a goal
+sequent build nothing.
 
 Before descending into a set ``S`` that has candidates, the walk bounds
 every set below it.  A set ``T`` below holds ``S`` and some candidates, so
 its stable parts hold ``S``'s and its ``cover`` lies inside the ``cover``
 taken over ``S`` and all candidates.  If a stable implication of ``S``
-lies outside that ``cover``, no ``T`` is supported, so none fires, at this
-wave or a later one, and the subtree is skipped: nothing in it would insert.
-Otherwise ``T`` fires only when supported, so every stable implication of
-``T`` is in its ``cover``.  A candidate's stable part lies in the left
-side of each member of ``S``, so each of its elements is in ``S``'s
-stable parts or in ``S``'s common losable part.  Hence every left side
+lies outside that ``cover``, no ``T`` is supported, so none fires, and the
+subtree is skipped: nothing in it would insert.  Otherwise ``T`` fires
+only when supported, so every stable implication of ``T`` is in its
+``cover``.  A candidate's stable part lies in the left side of each
+member of ``S``, so each of its elements is in ``S``'s stable parts or in
+``S``'s common losable part.  Hence every left side
 below lies inside ``B = sig | theta & (var_mask | cover)``, with ``sig``
 and ``theta`` those of ``S`` and ``cover`` taken over ``S`` and all
 candidates, minus the target atom for ``join-at``.  A ``join-at`` target
@@ -91,26 +87,24 @@ is a prime outside ``S``'s stable parts and needs ``S``'s right sides in
 ``ps3``; a ``join-or`` target needs both disjuncts among the right sides
 of ``S`` and the candidates.  If the database subsumes the regular
 sequent with that left side on every such target, every conclusion below
-is forward subsumed, now and at every later wave, and the subtree is
-skipped.  The skip is exact: nothing inserted means no backward
-subsumption, no retired entry and no goal sequent, so the database stays
-as the bound read it and the store is the one the full walk would leave.
+is forward subsumed, and the subtree is skipped.  The skip is exact:
+nothing inserted means no backward subsumption, no retired entry and no
+goal sequent, so the database stays as the bound read it and the store is
+the one the full walk would leave.
 
 Every run delays joins by wave, so that every countermodel has minimal
-height.  A walk that reaches a set of join rank above the current wave
-stops there and defers the set together with its candidates: a rank only
-grows along a walk, so no set below it could fire at this wave.  Deferred
-sets wait in descending order, as each iteration's go before those of
-earlier ones.  Once everything else has saturated, the wave increases, and
-each deferred set whose members are all still live is walked again, in
-that order, over its candidates that are still live, with both bounds read
-against the database as it stands then; a set still above the new wave is
-deferred again.  So every set fires through a walk.  Both bounds stay
-exact under waves: an unsupported set fires at no wave, and as subsumption
-is monotone, a conclusion the database subsumes when the bound reads it is
-still subsumed whenever its set fires.  The first wave at which a goal
-sequent appears is then the least possible join depth, i.e. the minimal
-countermodel height.
+height.  A join premise ranked at or above the current wave is not
+registered: it waits.  So every member ranks below the wave, and every set
+walked, whose rank is its deepest member's plus one, is at or below it.
+Once everything else has saturated, the wave increases, and the waiting
+premises still live are registered as one more batch, in the order they
+came.  A set fires once all its members are registered, at the first wave
+that reaches its rank, so the first wave at which a goal sequent appears
+is the least possible join depth, i.e. the minimal countermodel height.
+Every set walked fires within the same walk, so both bounds need to hold
+only when they are read: an unsupported set never fires, and as
+subsumption is monotone, a conclusion the database subsumes when the bound
+reads it is still subsumed when its set fires.
 """
 
 from __future__ import annotations
@@ -464,7 +458,7 @@ class SearchState:
         self._counters = dict.fromkeys(_COUNTERS, 0)
 
         self.members: dict[int, None] = {}  # join premises still live, oldest registered first
-        self.blocked: list[tuple[JoinCandidateSet, list[int]]] = []  # deferred walks
+        self.waiting: list[int] = []  # join premises ranked at or above the wave
         self.db.removal_listeners.append(self._on_removed)
 
     # -- insertion ---------------------------------------------------------
@@ -494,20 +488,23 @@ class SearchState:
 
     def _add_candidate_members(self, premises: list[int]) -> None:
         """Register the join premises among ``premises`` (live irregular
-        sequents) as members, in their order, then walk from each still
-        live, the last first: from its singleton set over the members
+        sequents, none registered yet) ranked below the wave as members, in
+        their order, and put the others in ``waiting``; then walk from each
+        new member, the last first: from its singleton set over the members
         registered before it that the set admits."""
         nodes, members = self.store.nodes, self.members
         new = []
         for nid in premises:
-            if nid not in members and (self.u.ps4_mask >> nodes[nid].seq.rhs) & 1:
-                members[nid] = None
-                new.append(nid)
+            node = nodes[nid]
+            if (self.u.ps4_mask >> node.seq.rhs) & 1:
+                if node.rank < self.cap:
+                    members[nid] = None
+                    new.append(nid)
+                else:
+                    self.waiting.append(nid)
         for nid in reversed(new):
             if self._goal is not None:
                 return
-            if nid not in members:
-                continue
             cs = JoinCandidateSet(self.store, (nid,))
             self._counters["candidate_sets"] += 1
             cands = []
@@ -521,30 +518,22 @@ class SearchState:
             self._walk(cs, cands)
 
     def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
-        """Fire ``cs`` (all of whose members are live) and every set that
-        extends it by some of ``cands``: for each candidate still live, the
-        last first, the extension by it and the extensions of that by the
-        candidates before it, then ``cs`` itself; skip them all when
-        ``_subsumed`` shows they would insert nothing, and defer them all to
-        a later wave when ``cs`` is above the current one.  No fire below
-        ``cs`` retires a member of ``cs`` (the weight lemma of the module
-        docstring), so ``cs`` stays live throughout."""
-        if cs.needed_rank > self.cap:
-            self.blocked.append((cs, cands))
-            return
+        """Fire ``cs`` and every set that extends it by some of ``cands``
+        (all members, so every such set is at or below the wave): for each
+        candidate, the last first, the extension by it and the extensions of
+        that by the candidates before it, then ``cs`` itself; skip them all
+        when ``_subsumed`` shows they would insert nothing."""
         if cands and self._subsumed(cs, cands):
             self._counters["subtrees_skipped"] += 1
             return
         nodes = self.store.nodes
-        members = self.members
         for j in range(len(cands) - 1, -1, -1):
             if self._goal is not None:
                 return
             c = cands[j]
-            if c in members:
-                ext = JoinCandidateSet(self.store, tuple(sorted(cs.members + (c,))), cs, c)
-                self._counters["candidate_sets"] += 1
-                self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
+            ext = JoinCandidateSet(self.store, tuple(sorted(cs.members + (c,))), cs, c)
+            self._counters["candidate_sets"] += 1
+            self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
         if self._goal is None:
             self._fire(cs)
 
@@ -567,9 +556,6 @@ class SearchState:
             if subsumer((True, t), gamma) is None:
                 return False
         return True
-
-    def _live(self, cs: JoinCandidateSet) -> bool:
-        return all(m in self.members for m in cs.members)
 
     def _on_removed(self, removed: list[tuple[int, int]]) -> None:
         self._counters["backward_removed"] += len(removed)
@@ -599,10 +585,10 @@ class SearchState:
 
     def step(self) -> list[int]:
         """Apply every instance with a premise from the last iteration, then
-        register the new irregular premises as join members and walk from
-        each, newest first, firing every set after its supersets; returns
-        the ids of the conclusions that survived subsumption.  Stops at the
-        first stored goal sequent."""
+        register the new join premises ranked below the wave as members and
+        walk from each, newest first, firing every set after its supersets;
+        returns the ids of the conclusions that survived subsumption.  Stops
+        at the first stored goal sequent."""
         self.iteration += 1
         self._added_now = []
         order = list(self.last)
@@ -619,12 +605,8 @@ class SearchState:
             else:
                 self._irregular_step(sid, node)
         if self._goal is None:
-            deferred = len(self.blocked)
             self._add_candidate_members([sid for sid in order if sid in self.db.entries
                                          and not self.store.nodes[sid].seq.regular])
-            # Keep the deferred sets in descending order: this step's each
-            # hold a member newer than any deferred before.
-            self.blocked = self.blocked[deferred:] + self.blocked[:deferred]
         self.last = self._added_now
         self._flush_stats()
         return self.last
@@ -688,18 +670,15 @@ class SearchState:
                     raise IterationBudgetExceeded(
                         f"no fixpoint within {max_iterations} iterations")
                 self.step()
-            elif self.blocked:
+            elif self.waiting:
                 # Everything below the wave has saturated: raise it.
                 self.cap += 1
-                batch, self.blocked = self.blocked, []
+                batch = [nid for nid in self.waiting if nid in self.db.entries]
+                self.waiting = []
                 if self.rng is not None:
                     self.rng.shuffle(batch)
                 self._added_now = []
-                for cs, cands in batch:
-                    if self._goal is not None:
-                        break
-                    if self._live(cs):
-                        self._walk(cs, [c for c in cands if c in self.members])
+                self._add_candidate_members(batch)
                 self.last = self._added_now
                 self._flush_stats()
             else:

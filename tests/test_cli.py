@@ -290,12 +290,28 @@ def test_decide_graph_format_countermodel(tmp_path, capsys):
 
 
 def test_decide_typeset_derivation(tmp_path, capsys):
+    # Formulas are LaTeX math: a raw ``&`` would be an alignment tab, ``~`` a
+    # tie that drops the negation, and ``_`` a subscript.
     src = tmp_path / "f.txt"
-    src.write_text("p -> p\n")
+    src.write_text("~p_1 & q -> q & ~p_1\n")
     code, out, _ = run(capsys, "decide", str(src), "--format", "typeset",
                        "--derivation", "-")
     assert code == 0
-    assert "\\begin{prooftree}" in out
+    assert out.splitlines()[:-1] == [
+        "\\begin{prooftree}",
+        "\\AxiomC{}",
+        "\\RightLabel{ax}",
+        "\\UnaryInfC{$\\neg p\\_1, q \\vdash q$}",
+        "\\AxiomC{}",
+        "\\RightLabel{ax}",
+        "\\UnaryInfC{$\\neg p\\_1, q \\vdash \\neg p\\_1$}",
+        "\\RightLabel{r-and}",
+        "\\BinaryInfC{$\\neg p\\_1, q \\vdash q \\land \\neg p\\_1$}",
+        "\\RightLabel{l-and}",
+        "\\UnaryInfC{$\\neg p\\_1 \\land q \\vdash q \\land \\neg p\\_1$}",
+        "\\RightLabel{r-imp}",
+        "\\UnaryInfC{$ \\vdash \\neg p\\_1 \\land q \\to q \\land \\neg p\\_1$}",
+        "\\end{prooftree}"]
 
 
 def test_decide_batch_exit_code(tmp_path, capsys):

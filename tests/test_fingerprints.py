@@ -12,10 +12,7 @@ the chains, the random corpus and ``conftest.G3I_CONSUMED_ANTECEDENT``, the
 G3i text of ``to_g3i(bsearch(db))`` and the critical choices ``bsearch``
 took.  A third table pins the saturated databases of the valid goals: per
 valid goal of the chains 4-10 and the random corpus, ``db.dump()`` and
-``minimum_compact(db).dump()`` under the default flags and with
-``min_height=True``, which every search now ignores: the table was pinned
-when that switched strategies, so it still shows that the one search
-saturates to the same databases.  They do not depend on the order in which
+``minimum_compact(db).dump()``.  They do not depend on the order in which
 rule instances and join sets fire, so a change of that order keeps this
 table while re-pinning the first.  Nor do they depend on what backward
 subsumption retires, as long as it retires only subsumed entries: that
@@ -145,15 +142,12 @@ CERTIFICATE_DIGESTS = {
 
 
 def _compact_dumps(goal):
-    """The saturated and the minimum compact database of a valid goal,
-    without and with minimal height; None for a goal that is not valid."""
-    parts = []
-    for min_height in (False, True):
-        out = fsearch(goal, min_height=min_height)
-        if out.is_proof:
-            return None
-        parts += [out.db.dump(), minimum_compact(out.db).dump()]
-    return "\x00".join(parts)
+    """The saturated and the minimum compact database of a valid goal; None
+    for a goal that is not valid."""
+    out = fsearch(goal)
+    if out.is_proof:
+        return None
+    return "\x00".join([out.db.dump(), minimum_compact(out.db).dump()])
 
 
 def _compact_dump_digest(goals):
@@ -170,19 +164,19 @@ def _compact_dump_groups():
 
 
 COMPACT_DUMP_DIGESTS = {
-    "chain4": "3b60099e2c4ac5e0be2bd22a17937b7ad63f6224648f47b16e5f232703efde3c",
-    "chain5": "06e05303c4e2eb4fb953a88462158ab0a623a58fe5552be950d0188f68dcbe89",
-    "chain6": "c79ac44c1d7534e8027798c9fa4fce507a6f86184a2417f48796e5ce8fbd202f",
-    "chain7": "69f620373cca7c9750cf85a1828964acbc33e79a9139981fcd1d4a5053988c1b",
-    "chain8": "25c2cdc2e0004286f20539279313a9cee9e78c76ff309962a046a82103eeedca",
-    "random0-24": "34053286962e4d4a75e1d31a4b37a52c935da55c34a98e32ea95dba045ed2322",
-    "random25-49": "bb592c823edf6a735070bf7190dff4ad0691292448facdfff34e426397f30897",
-    "random50-74": "88b6ee7b448edb094f0e529227db99da98ad3f311eaa252db0a7725af013cecc",
-    "random75-99": "eeeada30c130fe0cd9cb586680ef5f110aefde670dfa688f72477540c926ac40",
-    "random100-124": "e3f7977e234b1a5b3875ac8244459bd2f54e51d56c4a77c7b838f53d21ff84aa",
-    "random125-149": "3001f907823119046fdfa7839cf1e199fff34b38e2b163d7ba27f675db22d172",
-    "chain9": "b78c0e5ac34a5ccc684c24bf942a9ba57284217c4a83b9e83fd42768620985f5",
-    "chain10": "849bd04a3c5632ae9ebecea8a4f5ea1e71d0d4706fc4194be6b4bc10169f8ad1",
+    "chain4": "f686f85ee680559d00402071818f40aa029ea225b41e04d777359881054d062b",
+    "chain5": "693331c0febbc8ceb5b6733014b2dc9683447aced326d33a9422ee7e5b666161",
+    "chain6": "ea92877f991170178c99acb11d4648d848ef62fd723b566c7047c519918918c7",
+    "chain7": "c72270369cd1702d7bb10b96d8a21270be912c9172b8d3fb469c66b8c30bba7f",
+    "chain8": "cbd4f323705f5e12557af3c2b867decc8e412deb35ee2d22470501cb78fdc3e6",
+    "random0-24": "194828b0802ae05795bc1786efc9be33ce251f15ae4638bd80743b21868f665b",
+    "random25-49": "8223edb52020a32502473c18957e2fd0d0599407ec0d2b363b1c54c4b9d26379",
+    "random50-74": "470b4f4e4b82370d3a35305bab26a7bccf36747c6dcf3016724ec9365b016adf",
+    "random75-99": "971edc1b727808761d875bb94c5c8faa95c368c9dcc314853e875f034f802fdf",
+    "random100-124": "5e8feb6d59e9dd808cef1333b270b1c5e08227d5026cea817ff2c9edcb0c0f98",
+    "random125-149": "4c8d1fce925f2b582ade6b9c2125bf58f744fba345fb5395aecea424ada18c65",
+    "chain9": "083f1c1e783b962bcec0d14a6abeacf069a7701266461a008c4970f357265613",
+    "chain10": "f958930365173f61d18c193416a8fb2f4c83ec8cf231b44572f9701ce175e9b2",
 }
 
 

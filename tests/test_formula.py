@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipldecide import formula as F
-from ipldecide.formula import ParseError, build_universe, iter_bits, parse, to_text
+from ipldecide.formula import ParseError, build_universe, iter_bits, parse, to_tex, to_text
 
 from conftest import SCOTT, texts
 
@@ -105,6 +105,13 @@ def test_hash_consing_gives_equal_ids():
 @given(formulas())
 def test_print_parse_roundtrip(f):
     assert parse(to_text(f)) is f
+
+
+def test_tex_rendering_uses_math_symbols_and_escapes_underscores():
+    # ``false`` inside an atom name stays a name.
+    f = parse("~p_1 & (q | false) -> ~~(a_false -> falsey)")
+    assert to_tex(f) == ("\\neg p\\_1 \\land (q \\lor \\bot) \\to "
+                         "\\neg \\neg (a\\_false \\to falsey)")
 
 
 # -- size -------------------------------------------------------------------

@@ -160,3 +160,6 @@ def test_text_and_typeset_exports_are_pinned():
         "  \\draw (w5) -- (w4);",
         "\\end{tikzpicture}"])
     assert [height_of(m, w) for w in m.worlds()] == [3, 1, 0, 2, 0, 2]
+    # An atom name's ``_`` would open a subscript in the math label.
+    m = KripkeModel.from_order_pairs(2, [(0, 1)], 0, [set(), {"p_1", "q"}])
+    assert "  \\node (w1) at (0.0,1.5) {1: $p\\_1,q$};" in typeset_export(m).splitlines()
