@@ -1,4 +1,7 @@
+import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -339,3 +342,117 @@ def test_g3i_checker_rejects_corrupted_trees(valid_e_u, e_saturated):
     assert result is not None
     path, reason = result
     assert path == where and "implication" in reason
+
+
+# -- checker mutations ---------------------------------------------------------------------
+
+# The rule names of both calculi, and one of neither.
+_RULE_NAMES = ("ax", "l-bot", "l-and", "r-and", "l-or", "r-or1", "r-or2", "l-imp",
+               "r-imp-in", "r-imp-notin", "r-imp", "no-such-rule")
+
+
+def _certificates():
+    """(universe, backward tree) of the valid goals among ``VALID_E``,
+    ``G3I_CONSUMED_ANTECEDENT`` and 300 small random formulas."""
+    from ipldecide.generate import random_formulas
+    goals = [parse(t) for t in [VALID_E] + G3I_CONSUMED_ANTECEDENT]
+    goals += random_formulas(seed=25, max_vars=3, max_size=12, count=300)
+    for goal in goals:
+        out = fsearch(goal)
+        if not out.is_proof:
+            yield out.universe, bsearch(out.db)
+
+
+def _mutants(u, node):
+    """(kind, node) for every single-field corruption of ``node``, a
+    backward or a G3i node; only a backward node has a flavour."""
+    g3 = not hasattr(node, "seq")
+    psi, rhs = (node.psi, node.rhs) if g3 else (node.seq.psi, node.seq.rhs)
+
+    def make(rule=node.rule, children=node.children, principal=node.principal,
+             regular=None, psi=psi, rhs=rhs):
+        if g3:
+            return type(node)(psi, rhs, rule, children, principal)
+        if regular is None:
+            regular = node.seq.regular
+        return type(node)(BSequent(u, regular, psi, rhs), rule, children, principal)
+
+    for rule in _RULE_NAMES:
+        if rule != node.rule:
+            yield "rule", make(rule=rule)
+    for i in [i for i in range(u.n) if (u.sfl >> i) & 1] + [None]:
+        if i != node.principal:
+            yield "principal", make(principal=i)
+    if not g3:
+        yield "flavour", make(regular=not node.seq.regular)
+    for i in range(u.n):
+        if (u.sfl >> i) & 1:
+            yield "context", make(psi=psi ^ (1 << i))
+    for i in range(u.n):
+        if (u.sfr >> i) & 1 and i != rhs:
+            yield "right side", make(rhs=i)
+    kids = node.children
+    for j in range(len(kids)):
+        yield "premises", make(children=kids[:j] + kids[j + 1:])
+        yield "premises", make(children=kids[:j + 1] + kids[j:])
+
+
+def _mutated_trees(u, root):
+    """(kind, tree) for every single-field corruption of one node of
+    ``root``, nodes in preorder: the corrupted node in place, then as the
+    root of its own subtree.  In place, the parent's premise check sees a
+    corrupted context or right side first; alone, the node's own checks
+    must see it."""
+    def at(node, path, new):
+        if not path:
+            return new
+        kids = list(node.children)
+        kids[path[0]] = at(kids[path[0]], path[1:], new)
+        return replace(node, children=tuple(kids))
+
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        for kind, new in _mutants(u, node):
+            yield kind, at(root, path, new)
+            yield kind, new
+        stack += [(c, path + (j,)) for j, c in reversed(list(enumerate(node.children)))]
+
+
+# sha256 over the verdicts of ``check_backward`` and the results of
+# ``check_g3i`` (None or the offending path) on every mutant, in order.
+# Regenerate by printing ``_checker_verdicts()[0]``.
+CHECKER_MUTANTS_DIGEST = "d3a308c4a7213a9acfd8736f749a1074af6cc4a36ba8068e962c0469e78af064"
+
+
+def _checker_verdicts():
+    """The digest of every mutant's result, the backward and G3i mutant
+    counts, and the backward mutants rejected per kind of corruption."""
+    lines, rejected = [], Counter()
+    for u, tree in _certificates():
+        assert check_backward(tree)
+        g3 = to_g3i(tree)
+        assert check_g3i(g3, u) is None
+        for kind, bad in _mutated_trees(u, tree):
+            ok = check_backward(bad)
+            lines.append(f"b {kind} {ok}")
+            rejected[kind] += not ok
+        for kind, bad in _mutated_trees(u, g3):
+            res = check_g3i(bad, u)
+            lines.append(f"g {kind} {res and res[0]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    counts = Counter(line[0] for line in lines)
+    return digest, (counts["b"], counts["g"]), rejected
+
+
+def test_checkers_reject_single_field_corruptions():
+    # Each node of every certificate gets, one at a time: every other rule
+    # name (and unknown ones), another left subformula or none as principal,
+    # the other flavour, one context bit flipped, another right side, a
+    # premise dropped or doubled.
+    digest, counts, rejected = _checker_verdicts()
+    assert counts == (14728, 14264)
+    assert set(rejected) == {"rule", "principal", "flavour", "context", "right side",
+                             "premises"}
+    assert all(rejected.values()), rejected
+    assert digest == CHECKER_MUTANTS_DIGEST
