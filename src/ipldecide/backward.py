@@ -19,7 +19,7 @@ G3i derivation, which a purely local checker validates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .formula import (AND, IMP, OR, Formula, GoalUniverse, build_universe,
                       iter_bits, to_tex, to_text)
@@ -320,105 +320,112 @@ def oracle_decide(goal: Formula | GoalUniverse) -> bool:
 # Local validity checking and G3i translation
 # ---------------------------------------------------------------------------
 
-def _check_node(node: BNode, path: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], str]]:
-    u = node.seq.u
-    tau = node.seq
-    kids = node.children
-    f = u.sf[tau.rhs]
+RIMP = "r-imp"
 
-    def bad(reason: str):
-        return (path, reason)
+# The G3i rules, named in words.  Backward trees use the same names, except
+# that they split ``r-imp`` into ``r-imp-in`` and ``r-imp-notin``.
+_RULE_WORDS = {AX: "axiom", LBOT: "falsum axiom", LAND: "left conjunction",
+               RAND: "right conjunction", LOR: "left disjunction",
+               ROR1: "right disjunction", ROR2: "right disjunction",
+               LIMP: "left implication", RIMP: "right implication"}
 
-    r = node.rule
-    if r == AX:
-        if not (tau.psi >> tau.rhs) & 1 or kids:
-            return bad("axiom without its right side on the left")
-    elif r == LBOT:
-        if not tau.regular or u.bot_pos < 0 or not (tau.psi >> u.bot_pos) & 1 or kids:
-            return bad("falsum axiom without falsum on the left")
-    elif r == LAND:
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if (not tau.regular or g is None or g.kind != AND
-                or not (tau.psi >> i) & 1 or len(kids) != 1):
-            return bad("malformed left conjunction step")
-        else:
-            want = (tau.psi & ~(1 << i)) | (1 << u.pos[g.left.id]) | (1 << u.pos[g.right.id])
-            k = kids[0].seq
-            if not k.regular or k.psi != want or k.rhs != tau.rhs:
-                return bad("left conjunction premise mismatch")
-    elif r == RAND:
-        if f.kind != AND or len(kids) != 2:
-            return bad("malformed right conjunction step")
-        for k, c in zip(kids, (f.left, f.right)):
-            if k.seq.regular != tau.regular or k.seq.psi != tau.psi \
-                    or k.seq.rhs != u.pos[c.id]:
-                return bad("right conjunction premise mismatch")
-    elif r == LOR:
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if (not tau.regular or g is None or g.kind != OR
-                or not (tau.psi >> i) & 1 or len(kids) != 2):
-            return bad("malformed left disjunction step")
-        else:
-            base = tau.psi & ~(1 << i)
-            for k, c in zip(kids, (g.left, g.right)):
-                if not k.seq.regular or k.seq.psi != (base | (1 << u.pos[c.id])) \
-                        or k.seq.rhs != tau.rhs:
-                    return bad("left disjunction premise mismatch")
-    elif r in (ROR1, ROR2):
-        if f.kind != OR or len(kids) != 1:
-            return bad("malformed right disjunction step")
-        else:
-            c = f.left if r == ROR1 else f.right
-            k = kids[0].seq
-            if k.regular or k.psi != tau.psi or k.rhs != u.pos[c.id]:
-                return bad("right disjunction premise mismatch")
-    elif r == LIMP:
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if (not tau.regular or g is None or g.kind != IMP
-                or not (tau.psi >> i) & 1 or len(kids) != 2):
-            return bad("malformed left implication step")
-        else:
-            kl, kr = kids[0].seq, kids[1].seq
-            psi_b = (tau.psi & ~(1 << i)) | (1 << u.pos[g.right.id])
-            if kl.regular or kl.psi != tau.psi or kl.rhs != u.ante[i]:
-                return bad("left implication: bad antecedent premise")
-            if not kr.regular or kr.psi != psi_b or kr.rhs != tau.rhs:
-                return bad("left implication: bad consequent premise")
-    elif r == RIMP_IN:
-        a = u.pos[f.left.id] if f.kind == IMP else -1
-        if f.kind != IMP or len(kids) != 1 or not (u.closure(tau.psi) >> a) & 1:
-            return bad("malformed closed right implication step")
-        else:
-            k = kids[0].seq
-            if k.regular != tau.regular or k.psi != tau.psi \
-                    or k.rhs != u.pos[f.right.id]:
-                return bad("closed right implication premise mismatch")
-    elif r == RIMP_NOTIN:
-        if f.kind != IMP or len(kids) != 1:
-            return bad("malformed open right implication step")
-        else:
-            a = u.pos[f.left.id]
-            if (u.closure(tau.psi) >> a) & 1:
-                return bad("open right implication with antecedent already closed")
-            k = kids[0].seq
-            if not k.regular or k.psi != (tau.psi | (1 << a)) \
-                    or k.rhs != u.pos[f.right.id]:
-                return bad("open right implication premise mismatch")
-    else:
-        return bad(f"unknown rule {r}")
-    for j, kid in enumerate(kids):
-        res = _check_node(kid, path + (j,))
-        if res is not None:
-            return res
+
+def _premises(u: GoalUniverse, rule: str, psi: int, rhs: int,
+              principal: Optional[int]) -> Optional[list[tuple[int, int]]]:
+    """The rule schemas that both checkers read: the (context, right side)
+    of each premise of a G3i ``rule`` step whose conclusion has context
+    ``psi``, right side ``rhs`` and principal left formula ``principal``,
+    or None if no such step is an instance of the rule."""
+    if rule == AX:
+        return [] if (psi >> rhs) & 1 else None
+    if rule in (LAND, LOR, LIMP):
+        if principal is None or not (psi >> principal) & 1:
+            return None
+        g = u.sf[principal]
+        base = psi & ~(1 << principal)
+        if rule == LIMP and g.kind == IMP:
+            return [(psi, u.ante[principal]), (base | 1 << u.pos[g.right.id], rhs)]
+        if rule == LAND and g.kind == AND:
+            return [(base | 1 << u.pos[g.left.id] | 1 << u.pos[g.right.id], rhs)]
+        if rule == LOR and g.kind == OR:
+            return [(base | 1 << u.pos[g.left.id], rhs), (base | 1 << u.pos[g.right.id], rhs)]
+        return None
+    if rule == LBOT:
+        return [] if u.bot_pos >= 0 and (psi >> u.bot_pos) & 1 else None
+    f = u.sf[rhs]
+    if rule == RIMP and f.kind == IMP:
+        return [(psi | 1 << u.pos[f.left.id], u.pos[f.right.id])]
+    if rule == RAND and f.kind == AND:
+        return [(psi, u.pos[f.left.id]), (psi, u.pos[f.right.id])]
+    if rule in (ROR1, ROR2) and f.kind == OR:
+        return [(psi, u.pos[(f.left if rule == ROR1 else f.right).id])]
     return None
+
+
+def _mismatch(rule: str, want: Optional[list[tuple]], got: list[tuple]) -> Optional[str]:
+    """Why a ``rule`` step with premises ``got`` is wrong when the schema
+    wants ``want``, or None if it is right."""
+    words = _RULE_WORDS.get(rule)
+    if words is None:
+        return f"unknown rule {rule}"
+    if want is None or len(want) != len(got):
+        return f"malformed {words} step"
+    return None if want == got else f"{words} premise mismatch"
+
+
+def _first_fault(node, u: GoalUniverse, fault: Callable[[GoalUniverse, object], Optional[str]],
+                 ) -> Optional[tuple[tuple[int, ...], str]]:
+    """The path and reason of the first node of the tree ``node``, in
+    preorder, that ``fault`` rejects, or None; both checkers walk with it."""
+    reason = fault(u, node)
+    if reason is not None:
+        return (), reason
+    j = 0  # a counter: cheaper here than enumerate
+    for kid in node.children:
+        res = _first_fault(kid, u, fault)
+        if res is not None:
+            return (j,) + res[0], res[1]
+        j += 1
+    return None
+
+
+# What the backward calculus adds to G3i: the flavour (regular or not) that
+# each rule needs of its conclusion and gives each premise; None means any
+# conclusion, or a premise of the conclusion's flavour.
+_FLAVOURS = {AX: (None, ()), LBOT: (True, ()), LAND: (True, (True,)),
+             RAND: (None, (None, None)), LOR: (True, (True, True)),
+             ROR1: (None, (False,)), ROR2: (None, (False,)),
+             LIMP: (True, (False, True)), RIMP_IN: (None, (None,)),
+             RIMP_NOTIN: (None, (True,))}
+
+
+def _backward_fault(u: GoalUniverse, node: BNode) -> Optional[str]:
+    tau, rule = node.seq, node.rule
+    if rule not in _FLAVOURS:
+        return f"unknown rule {rule}"
+    need, gives = _FLAVOURS[rule]
+    if need is not None and tau.regular != need:
+        return f"{rule} needs a {'regular' if need else 'irregular'} conclusion"
+    g3_rule = rule
+    if rule in (RIMP_IN, RIMP_NOTIN):
+        # The closure test separates the two forms: r-imp-in keeps the
+        # context, r-imp-notin adds the antecedent as G3i's r-imp does.
+        f = u.sf[tau.rhs]
+        if f.kind == IMP and (rule == RIMP_IN) != bool(
+                (u.closure(tau.psi) >> u.pos[f.left.id]) & 1):
+            return f"{rule} on the wrong side of the closure test"
+        g3_rule = RIMP
+    want = _premises(u, g3_rule, tau.psi, tau.rhs, node.principal)
+    if want is not None:
+        want = [(tau.psi if rule == RIMP_IN else psi, rhs, tau.regular if g is None else g)
+                for (psi, rhs), g in zip(want, gives)]
+    return _mismatch(g3_rule, want,
+                     [(k.seq.psi, k.seq.rhs, k.seq.regular) for k in node.children])
 
 
 def check_backward(root: BNode) -> bool:
     """Local rule-schema validation of a backward derivation tree."""
-    return _check_node(root, ()) is None
+    return _first_fault(root, root.seq.u, _backward_fault) is None
 
 
 @dataclass
@@ -436,11 +443,6 @@ class G3Node:
             yield from c.nodes()
 
 
-_G3_RULES = {AX: "ax", LBOT: "l-bot", LAND: "l-and", RAND: "r-and", LOR: "l-or",
-             ROR1: "r-or1", ROR2: "r-or2", LIMP: "l-imp",
-             RIMP_IN: "r-imp", RIMP_NOTIN: "r-imp"}
-
-
 def to_g3i(node: BNode, extra: int = 0) -> G3Node:
     """Erase the regular/irregular split; the closed right-implication rule
     additionally pushes the antecedent into the contexts of the subtree above
@@ -451,87 +453,28 @@ def to_g3i(node: BNode, extra: int = 0) -> G3Node:
     u = node.seq.u
     extra &= ~node.seq.psi
     up = extra
-    if node.rule == RIMP_IN:
+    rule = node.rule
+    if rule == RIMP_IN:
         up |= 1 << u.pos[u.sf[node.seq.rhs].left.id]
-    return G3Node(node.seq.psi | extra, node.seq.rhs, _G3_RULES[node.rule],
+    if rule in (RIMP_IN, RIMP_NOTIN):
+        rule = RIMP
+    return G3Node(node.seq.psi | extra, node.seq.rhs, rule,
                   tuple(to_g3i(c, up) for c in node.children), node.principal)
+
+
+def _g3i_fault(u: GoalUniverse, node: G3Node) -> Optional[str]:
+    want = _premises(u, node.rule, node.psi, node.rhs, node.principal)
+    got = []
+    for k in node.children:  # a loop: cheaper here than a comprehension
+        got.append((k.psi, k.rhs))
+    return None if want == got else _mismatch(node.rule, want, got)
 
 
 def check_g3i(root: G3Node, universe: GoalUniverse,
               ) -> Optional[tuple[tuple[int, ...], str]]:
     """Validate every node against the standard G3i rule schemas (with
     general axioms); returns the first offending (path, reason) or None."""
-    return _check_g3i(root, universe, ())
-
-
-def _check_g3i(node: G3Node, u: GoalUniverse, path: tuple[int, ...],
-               ) -> Optional[tuple[tuple[int, ...], str]]:
-    f = u.sf[node.rhs]
-    kids = node.children
-
-    def bad(reason: str):
-        return (path, reason)
-
-    r = node.rule
-    if r == "ax":
-        if not (node.psi >> node.rhs) & 1 or kids:
-            return bad("axiom needs its right side on the left")
-    elif r == "l-bot":
-        if u.bot_pos < 0 or not (node.psi >> u.bot_pos) & 1 or kids:
-            return bad("falsum axiom needs falsum on the left")
-    elif r == "l-and":
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if g is None or g.kind != AND or not (node.psi >> i) & 1 or len(kids) != 1:
-            return bad("malformed left conjunction")
-        want = (node.psi & ~(1 << i)) | (1 << u.pos[g.left.id]) | (1 << u.pos[g.right.id])
-        if kids[0].psi != want or kids[0].rhs != node.rhs:
-            return bad("left conjunction premise mismatch")
-    elif r == "r-and":
-        if f.kind != AND or len(kids) != 2:
-            return bad("malformed right conjunction")
-        for k, c in zip(kids, (f.left, f.right)):
-            if k.psi != node.psi or k.rhs != u.pos[c.id]:
-                return bad("right conjunction premise mismatch")
-    elif r == "l-or":
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if g is None or g.kind != OR or not (node.psi >> i) & 1 or len(kids) != 2:
-            return bad("malformed left disjunction")
-        base = node.psi & ~(1 << i)
-        for k, c in zip(kids, (g.left, g.right)):
-            if k.psi != (base | (1 << u.pos[c.id])) or k.rhs != node.rhs:
-                return bad("left disjunction premise mismatch")
-    elif r in ("r-or1", "r-or2"):
-        if f.kind != OR or len(kids) != 1:
-            return bad("malformed right disjunction")
-        c = f.left if r == "r-or1" else f.right
-        if kids[0].psi != node.psi or kids[0].rhs != u.pos[c.id]:
-            return bad("right disjunction premise mismatch")
-    elif r == "l-imp":
-        i = node.principal
-        g = u.sf[i] if i is not None else None
-        if g is None or g.kind != IMP or not (node.psi >> i) & 1 or len(kids) != 2:
-            return bad("malformed left implication")
-        kl, kr = kids
-        psi_b = (node.psi & ~(1 << i)) | (1 << u.pos[g.right.id])
-        if kl.psi != node.psi or kl.rhs != u.ante[i]:
-            return bad("left implication: antecedent premise must keep the context")
-        if kr.psi != psi_b or kr.rhs != node.rhs:
-            return bad("left implication: consequent premise mismatch")
-    elif r == "r-imp":
-        if f.kind != IMP or len(kids) != 1:
-            return bad("malformed right implication")
-        a = u.pos[f.left.id]
-        if kids[0].psi != (node.psi | (1 << a)) or kids[0].rhs != u.pos[f.right.id]:
-            return bad("right implication premise must gain the antecedent")
-    else:
-        return bad(f"unknown rule {r}")
-    for j, kid in enumerate(kids):
-        res = _check_g3i(kid, u, path + (j,))
-        if res is not None:
-            return res
-    return None
+    return _first_fault(root, universe, _g3i_fault)
 
 
 # ---------------------------------------------------------------------------
