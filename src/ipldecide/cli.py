@@ -34,7 +34,9 @@ def _read_formulas(source: str) -> tuple[list[Formula], bool] | None:
     stderr, if ``source`` cannot be read as UTF-8 text."""
     try:
         if source == "-":
-            text = sys.stdin.read()
+            # Strict UTF-8 whatever the locale: the interpreter's own stdin
+            # decoding may turn bad bytes into surrogates and decide anyway.
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()

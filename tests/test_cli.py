@@ -161,12 +161,21 @@ def test_audit_batch_with_a_bad_line_audits_the_rest(tmp_path, capsys):
 
 
 def test_input_that_is_not_utf8_cannot_be_read(tmp_path, capsys):
+    data = b"p -> p\n\xff\xfe bad\n"
     src = tmp_path / "f.txt"
-    src.write_bytes(b"p -> p\n\xff\xfe bad\n")
+    src.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": str(Path(ipldecide.__file__).parent.parent)}
     for command in ("decide", "audit"):
         code, out, err = run(capsys, command, str(src))
         assert code == 2 and out == ""
         assert err.startswith("cannot read input: 'utf-8' codec can't decode byte 0xff")
+        # The same bytes on standard input, whatever the locale's error
+        # handler for it.
+        done = subprocess.run([sys.executable, "-m", "ipldecide", command, "-"],
+                              input=data, capture_output=True, env=env, timeout=60)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(
+            b"cannot read input: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_output_file_that_cannot_be_opened_ends_the_run_before_deciding(tmp_path,
