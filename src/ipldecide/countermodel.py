@@ -139,6 +139,8 @@ class _ModelToDerivation:
         self.model = model
         self.u = u
         self.store = DerivationStore(u)
+        # Sequent key -> node id: two worlds can give one sequent.
+        self.node_of: dict[tuple, int] = {}
         self.cache: dict[tuple[int, int], bool] = {}
         self.lam_star: dict[int, int] = {}
         self.omega: dict[int, int] = {}
@@ -151,6 +153,13 @@ class _ModelToDerivation:
         self.reg_of: dict[tuple[int, int], int] = {}
         self.irr_hist: dict[int, list[tuple[int, int]]] = {}
         self.reg_hist: dict[int, list[tuple[int, int]]] = {}
+
+    def _add(self, seq: Sequent, rule: str, premises: tuple[int, ...]) -> int:
+        """The node of ``seq``, added unless stored."""
+        nid = self.node_of.get(seq.key)
+        if nid is None:
+            nid = self.node_of[seq.key] = self.store.add(seq, rule, premises, 0)
+        return nid
 
     def _forces(self, w: int, f: Formula) -> bool:
         return forces(self.model, w, f, self.cache)
@@ -179,17 +188,16 @@ class _ModelToDerivation:
         u = self.u
         f = u.sf[c]
         if (u.prime_mask >> c) & 1:
-            nid = self.store.add(axiom(u, c, False), AX_IRR, (), 0)
+            nid = self._add(axiom(u, c, False), AX_IRR, ())
         elif f.kind == OR:
             n1 = self.irr_of[(w, u.pos[f.left.id])]
             n2 = self.irr_of[(w, u.pos[f.right.id])]
             s1, s2 = self.store.nodes[n1].seq, self.store.nodes[n2].seq
-            nid = self.store.add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2), 0)
+            nid = self._add(or_conclusion(s1, s2, c), RULE_OR, (n1, n2))
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.irr_of[(w, k)]
-            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND,
-                                 (prem,), 0)
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,))
         else:  # implication
             a, b = u.pos[f.left.id], u.pos[f.right.id]
             eta = self._pick_eta(w, f.left, f.right)
@@ -197,13 +205,13 @@ class _ModelToDerivation:
                 prem = self.irr_of[(w, b)]
                 ps = self.store.nodes[prem].seq
                 shifts = minimal_shifts(u, ps.sigma, star & ~ps.sigma, a)
-                nid = self.store.add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,), 0)
+                nid = self._add(shifted(ps, shifts[0], c), RULE_IMP_IN, (prem,))
             else:
                 prem = self.reg_of[(eta, b)]
                 gamma = self.store.nodes[prem].seq.gamma
                 thetas = maximal_avoiding(u, u.closure(gamma) & u.gbar, a, require=star)
-                nid = self.store.add(Sequent(u, False, 0, 0, thetas[0], c),
-                                     RULE_IMP_NOTIN, (prem,), 0)
+                nid = self._add(Sequent(u, False, 0, 0, thetas[0], c), RULE_IMP_NOTIN,
+                                (prem,))
         self.irr_of[(w, c)] = nid
         self.irr_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -218,7 +226,7 @@ class _ModelToDerivation:
         star_imp = self.lam_star[w] & u.imp_mask
         if (u.prime_mask >> c) & 1:
             if not star_imp:
-                nid = self.store.add(axiom(u, c, True), AX_REG, (), 0)
+                nid = self._add(axiom(u, c, True), AX_REG, ())
             else:
                 ups = sorted({u.ante[i] for i in iter_bits(star_imp)})
                 nid = self._join(w, ups, JOIN_AT, c)
@@ -229,12 +237,11 @@ class _ModelToDerivation:
         elif f.kind == AND:
             k = u.pos[f.left.id] if not self._forces(w, f.left) else u.pos[f.right.id]
             prem = self.reg_of[(w, k)]
-            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,), 0)
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_AND, (prem,))
         else:
             eta = self._pick_eta(w, f.left, f.right)
             prem = self.reg_of[(eta, u.pos[f.right.id])]
-            nid = self.store.add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN,
-                                 (prem,), 0)
+            nid = self._add(retarget(self.store.nodes[prem].seq, c), RULE_IMP_IN, (prem,))
         self.reg_of[(w, c)] = nid
         self.reg_hist.setdefault(c, []).append((w, nid))
         return nid
@@ -242,8 +249,8 @@ class _ModelToDerivation:
     def _join(self, w: int, ups: list[int], flavor: str, c: int) -> int:
         prems = [self.irr_of[(w, y)] for y in ups]
         parts = JoinParts([self.store.nodes[p].seq for p in prems])
-        return self.store.add(Sequent(self.u, True, parts.conclusion(c, flavor), 0, 0, c),
-                              flavor, tuple(prems), 0)
+        return self._add(Sequent(self.u, True, parts.conclusion(c, flavor), 0, 0, c),
+                         flavor, tuple(prems))
 
     def run(self) -> int:
         hs = heights(self.model)

@@ -143,9 +143,11 @@ class StoreNode:
 class DerivationStore:
     """Append-only DAG of proved sequents with rule labels and premise links.
 
-    One node per sequent: ``add`` hands back the node of a sequent already
-    stored, which ``countermodel.derivation_from_model`` relies on; the
-    search never adds one twice.  A node's rank is the join depth of its derivation: 0 for a
+    ``add`` always appends a node.  The search never adds a sequent twice:
+    the database subsumes every sequent it stored, retired ones included.
+    ``countermodel.derivation_from_model``, which can derive one sequent at
+    several worlds, looks its sequents up itself.  A node's rank is the join
+    depth of its derivation: 0 for a
     regular axiom, -1 for an irregular one, the deepest premise's rank plus
     one for a join, and the deepest premise's rank for every other rule.
     ``add`` computes it from the premises unless the caller passes it, as
@@ -155,16 +157,11 @@ class DerivationStore:
     def __init__(self, universe: GoalUniverse):
         self.u = universe
         self.nodes: list[StoreNode] = []
-        self.by_key: dict[tuple, int] = {}
 
     def add(self, seq: Sequent, rule: str, premises: tuple[int, ...], iteration: int,
             rank: int | None = None) -> int:
-        """The node id of ``seq``, added with rank ``rank``, or the one its
-        premises give, unless stored."""
-        key = seq.key
-        nid = self.by_key.get(key)
-        if nid is not None:
-            return nid
+        """The id of a new node for ``seq``, with rank ``rank``, or the one
+        its premises give."""
         nodes = self.nodes
         nid = len(nodes)
         if rank is None:
@@ -173,7 +170,6 @@ class DerivationStore:
             else:
                 rank = 0 if seq.regular else -1
         nodes.append(StoreNode(seq, rule, premises, iteration, rank))
-        self.by_key[key] = nid
         return nid
 
     def __len__(self) -> int:

@@ -888,11 +888,12 @@ def test_a_retired_sequent_stays_forward_subsumed(monkeypatch):
     # let the search store such sequents again; on the last two a retired
     # sequent is derived again and forward subsumed.
     add = search.DerivationStore.add
-    readded = []
+    readded, seen = [], set()
 
     def checked_add(self, seq, rule, premises, iteration, rank=None):
-        if seq.key in self.by_key:
+        if seq.key in seen:
             readded.append((rule, to_text(goal)))
+        seen.add(seq.key)
         return add(self, seq, rule, premises, iteration, rank)
 
     monkeypatch.setattr(search.DerivationStore, "add", checked_add)
@@ -904,6 +905,7 @@ def test_a_retired_sequent_stays_forward_subsumed(monkeypatch):
             state = SearchState(build_universe(goal),
                                 backward_subsumption=backward_subsumption)
             removed = removal_log(state.db)
+            seen.clear()
             out = state.run()
             for rid, repl in removed:
                 seq = out.store.nodes[rid].seq
