@@ -13,7 +13,10 @@ independent decision oracle.
 database without ever backtracking: at the non-invertible choice points it
 queries the database through the evaluation relation and takes a branch
 the database refutes.  The result translates node-for-node into a standard
-G3i derivation, which a purely local checker validates.
+G3i derivation.  Two purely local checkers, one per calculus, validate the
+backward tree and its translation against one table of rule schemas; the
+builder and the oracle keep their own rule code, so neither checker shares
+code with what it checks.
 """
 
 from __future__ import annotations

@@ -147,11 +147,11 @@ class DerivationStore:
     the database subsumes every sequent it stored, retired ones included.
     ``countermodel.derivation_from_model``, which can derive one sequent at
     several worlds, looks its sequents up itself.  A node's rank is the join
-    depth of its derivation: 0 for a
-    regular axiom, -1 for an irregular one, the deepest premise's rank plus
-    one for a join, and the deepest premise's rank for every other rule.
-    ``add`` computes it from the premises unless the caller passes it, as
-    the search does for a fired join set, which holds that rank already.
+    depth of its derivation: 0 for a regular axiom, -1 for an irregular one,
+    the deepest premise's rank plus one for a join, and the deepest
+    premise's rank for every other rule.  ``add`` computes it from the
+    premises unless the caller passes it, as the search does for a fired
+    join set, which holds that rank already.
     """
 
     def __init__(self, universe: GoalUniverse):
