@@ -19,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
-        tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+        tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
