@@ -32,15 +32,18 @@ larger holds a superset exactly when it holds the mask plus one bit of
 ``gbar`` outside it; when that grade holds more masks than there are such
 bits, the query probes for them, implications first, instead of scanning
 it, and it scans every other larger grade.  Backward subsumption scans only
-the smaller grades.  Within a bucket, mask inclusion is subsumption, so the
-forward query runs on a bucket key and a mask; storing is that query plus
-one store tail.  Each conclusion is built as a ``Sequent`` once and
-inserted with one call: it is either confirmed against an index hit with
-``subsumes`` or stored, and both need it.  Only the regular sequents that
-the walk's bound queries below a set stay masks, and one of them is built
-only to confirm a hit.  The closure of a regular premise's left side is
-computed only when an implication rule has the premise's right side as
-consequent: no other rule reads it.
+the smaller grades.  A bucket fixes everything ``subsumes`` compares but
+the mask, so within a bucket mask inclusion is subsumption, and an index
+hit is not confirmed: the forward query runs on a bucket key and a mask
+alone, and the walk's bound queries the regular sequents below a set as
+masks, building none.  Storing is that query plus one store tail.  Each
+conclusion is built as a ``Sequent`` once and inserted with one call.
+
+A step calls the rules of a premise only when some rule of its flavour reads
+its right side: a conjunction or implication target for both flavours, and
+a disjunct of a disjunction target for an irregular premise.  The closure of
+a regular premise's left side is computed only when an implication rule has
+the premise's right side as consequent: no other rule reads it.
 
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
@@ -209,14 +212,6 @@ def _index_key(seq: Sequent) -> tuple[tuple, int]:
     return (False, seq.rhs, seq.sigma), seq.theta
 
 
-def _sequent_at(u: GoalUniverse, key: tuple, mask: int) -> Sequent:
-    """The sequent of bucket ``key`` with mask ``mask`` (:func:`_index_key`
-    inverted)."""
-    if key[0]:
-        return Sequent(u, True, mask, 0, 0, key[1])
-    return Sequent(u, False, 0, key[2], mask, key[1])
-
-
 class Database:
     """The set of currently live proved sequents.
 
@@ -225,11 +220,13 @@ class Database:
     for regular entries (mask Gamma) and per ``(False, rhs, sigma)`` for
     irregular ones (mask Theta), graded by mask size into ``{mask: nid}``
     dicts.  An entry subsuming a sequent sits in the sequent's bucket with
-    the same or a strictly larger mask, and an entry the sequent strictly
-    subsumes with a strictly smaller one; every candidate found this way is
-    confirmed by ``subsumes``.  Retiring an entry may leave an empty grade.
-    ``insert`` takes the sequent itself; the lookup, ``_subsumer``, also
-    answers a query given only as a bucket and a mask.
+    a mask holding the sequent's, the same or strictly larger, and an entry
+    the sequent strictly subsumes with a strictly smaller one held in it.
+    The bucket fixes the flavour, the right side and, for an irregular
+    sequent, the stable part, so mask inclusion within it is exactly
+    ``subsumes``, and no entry found this way is confirmed.  Retiring an
+    entry may leave an empty grade.  ``insert`` takes the sequent itself;
+    the lookup, ``_subsumer``, takes a bucket and a mask.
     """
 
     def __init__(self, universe: GoalUniverse, store: DerivationStore | None = None,
@@ -278,16 +275,14 @@ class Database:
         key, mask = _index_key(seq)
         del self._index[key][mask.bit_count()][mask]
 
-    def _subsumer(self, key: tuple, mask: int, seq: Sequent | None = None,
-                  ) -> Optional[int]:
+    def _subsumer(self, key: tuple, mask: int) -> Optional[int]:
         """An entry subsuming the sequent of bucket ``key`` and mask
         ``mask``, one with a strictly larger mask if any: an entry of the
         database gets itself back exactly when no other entry subsumes it.
 
-        The index finds the entry on masks alone, since within a bucket mask
-        inclusion is subsumption; ``subsumes`` confirms the hit, on ``seq``,
-        or on the sequent built from ``key`` and ``mask`` when ``seq`` is
-        None, so a query that finds nothing builds no sequent."""
+        The index finds the entry on masks alone and returns it unconfirmed:
+        within a bucket mask inclusion is subsumption, so every hit is a
+        subsumer, and a query builds no sequent."""
         grades = self._index.get(key)
         if not grades:
             return None
@@ -307,22 +302,15 @@ class Database:
                         bit = bits & -bits
                         e = group.get(mask | bit)
                         if e is not None:
-                            return self._confirmed(e, key, mask, seq)
+                            return e
                         free ^= bit
                     continue
             if size > k:
                 for m in group:
                     if m & mask == mask:
-                        return self._confirmed(group[m], key, mask, seq)
+                        return group[m]
         group = grades.get(k)
-        e = group.get(mask) if group is not None else None
-        return None if e is None else self._confirmed(e, key, mask, seq)
-
-    def _confirmed(self, e: int, key: tuple, mask: int, seq: Sequent | None,
-                   ) -> Optional[int]:
-        if seq is None:
-            seq = _sequent_at(self.u, key, mask)
-        return e if subsumes(seq, self.store.nodes[e].seq) else None
+        return group.get(mask) if group is not None else None
 
     def insert(self, seq: Sequent, rule: str, premises: tuple[int, ...] = (),
                iteration: int = 0, rank: int | None = None) -> Optional[int]:
@@ -331,9 +319,13 @@ class Database:
         In compact mode also retire every entry ``seq`` strictly subsumes, and
         report them, in node order and each with the new node as its
         replacement, to the ``removal_listeners``.  ``rank`` goes to
-        :meth:`DerivationStore.add`."""
+        :meth:`DerivationStore.add`.
+
+        The retirement scan still calls ``subsumes`` on each entry it
+        retires, although the index has decided it already: the benchmark's
+        per-layer subsumption counters wrap that module global."""
         key, mask = _index_key(seq)
-        if self._subsumer(key, mask, seq) is not None:
+        if self._subsumer(key, mask) is not None:
             return None
         nid = self.store.add(seq, rule, premises, iteration, rank)
         grades = self._link(nid, seq.rhs, key, mask)
@@ -382,7 +374,7 @@ def minimum_compact(db: Database) -> Database:
     for nid in db.entries:
         seq = db.store.nodes[nid].seq
         key, mask = _index_key(seq)
-        if db._subsumer(key, mask, seq) == nid:
+        if db._subsumer(key, mask) == nid:
             out._link(nid, seq.rhs, key, mask)
     return out
 
@@ -584,25 +576,32 @@ class SearchState:
         register the new join premises ranked below the wave as members and
         walk from each, newest first, firing every set after its supersets;
         returns the ids of the conclusions that survived subsumption.  Stops
-        at the first stored goal sequent."""
+        at the first stored goal sequent.  A premise whose right side no rule
+        of its flavour reads is not handed to the rules; every irregular
+        premise still live after them goes to join registration."""
         self.iteration += 1
         self._added_now = []
+        u, entries = self.u, self.db.entries
         order = list(self.last)
         if self.rng is not None:
             self.rng.shuffle(order)
+        irregular = []
         for sid in order:
             if self._goal is not None:
                 break
-            if sid not in self.db.entries:
+            if sid not in entries:
                 continue  # retired mid-flight by backward subsumption
             node = self.store.nodes[sid]
+            rhs = node.seq.rhs
             if node.seq.regular:
-                self._regular_step(sid, node)
+                if (u.regular_premise_rhs >> rhs) & 1:
+                    self._regular_step(sid, node)
             else:
-                self._irregular_step(sid, node)
+                irregular.append(sid)
+                if (u.irregular_premise_rhs >> rhs) & 1:
+                    self._irregular_step(sid, node)
         if self._goal is None:
-            self._add_candidate_members([sid for sid in order if sid in self.db.entries
-                                         and not self.store.nodes[sid].seq.regular])
+            self._add_candidate_members([sid for sid in irregular if sid in entries])
         self.last = self._added_now
         self._flush_stats()
         return self.last
