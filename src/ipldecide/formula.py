@@ -390,15 +390,17 @@ class GoalUniverse:
         self.gimp = self.sfl & imp_mask
         self.gbar = self.gat | self.gimp
 
-        # Rule targets, all restricted to right subformulas, the right sides
-        # the rules read of a premise, and the connectives in closure order.
+        # Rule targets, all restricted to right subformulas, and the
+        # connectives in closure order.  ``or_partners`` gives, per disjunct,
+        # each disjunction target in ``or_targets`` order with the other
+        # disjunct and whether the key is the left one.
         self.and_targets: dict[int, tuple[int, ...]] = {}
         self.or_targets: list[tuple[int, int, int]] = []
         self.imp_targets: dict[int, tuple[int, ...]] = {}
         self.ante: dict[int, int] = {}
         and_t: dict[int, list[int]] = {}
+        or_t: dict[int, list[tuple[int, int, bool]]] = {}
         imp_t: dict[int, list[tuple[int, int]]] = {}
-        read = disjuncts = 0
         connectives = []
         for i, f in enumerate(self.sf):
             if f.kind in (VAR, BOT):
@@ -413,20 +415,16 @@ class GoalUniverse:
                 and_t.setdefault(lp, []).append(i)
                 if rp != lp:
                     and_t.setdefault(rp, []).append(i)
-                read |= 1 << lp | 1 << rp
             elif f.kind == OR:
                 self.or_targets.append((i, lp, rp))
-                disjuncts |= 1 << lp | 1 << rp
+                or_t.setdefault(lp, []).append((i, rp, True))
+                or_t.setdefault(rp, []).append((i, lp, False))
             else:
                 imp_t.setdefault(rp, []).append((i, lp))
-                read |= 1 << rp
         self._connectives = tuple(connectives)
         self.and_targets = {k: tuple(v) for k, v in and_t.items()}
+        self.or_partners = {k: tuple(v) for k, v in or_t.items()}
         self.imp_targets = {k: tuple(v) for k, v in imp_t.items()}
-        # A regular premise is read by the conjunction and implication rules
-        # only, an irregular one by the disjunction rule too.
-        self.regular_premise_rhs = read
-        self.irregular_premise_rhs = read | disjuncts
 
         # Implications by antecedent, for the join parts' support masks.
         self.imps_by_ante: dict[int, int] = {}
@@ -437,8 +435,11 @@ class GoalUniverse:
         ps3 = 0
         for i in iter_bits(self.gimp):
             ps3 |= 1 << self.ante[i]
+        ps4 = ps3
+        for _, lp, rp in self.or_targets:
+            ps4 |= (1 << lp) | (1 << rp)
         self.ps3_mask = ps3
-        self.ps4_mask = ps3 | disjuncts
+        self.ps4_mask = ps4
 
         self.prime_rhs = tuple(i for i in range(self.n)
                                if (self.prime_mask >> i) & 1 and (self.sfr >> i) & 1)

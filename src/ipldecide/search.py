@@ -38,12 +38,10 @@ hit is not confirmed: the forward query runs on a bucket key and a mask
 alone, and the walk's bound queries the regular sequents below a set as
 masks, building none.  Storing is that query plus one store tail.  Each
 conclusion is built as a ``Sequent`` once and inserted with one call.
-
-A step calls the rules of a premise only when some rule of its flavour reads
-its right side: a conjunction or implication target for both flavours, and
-a disjunct of a disjunction target for an irregular premise.  The closure of
-a regular premise's left side is computed only when an implication rule has
-the premise's right side as consequent: no other rule reads it.
+Every rule looks up the targets a premise feeds by its right side.  The
+closure of a regular premise's left side is computed only when an
+implication rule has the premise's right side as consequent: no other rule
+reads it.
 
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
@@ -576,12 +574,11 @@ class SearchState:
         register the new join premises ranked below the wave as members and
         walk from each, newest first, firing every set after its supersets;
         returns the ids of the conclusions that survived subsumption.  Stops
-        at the first stored goal sequent.  A premise whose right side no rule
-        of its flavour reads is not handed to the rules; every irregular
-        premise still live after them goes to join registration."""
+        at the first stored goal sequent.  Every irregular premise still live
+        after the rules goes to join registration."""
         self.iteration += 1
         self._added_now = []
-        u, entries = self.u, self.db.entries
+        entries = self.db.entries
         order = list(self.last)
         if self.rng is not None:
             self.rng.shuffle(order)
@@ -592,14 +589,11 @@ class SearchState:
             if sid not in entries:
                 continue  # retired mid-flight by backward subsumption
             node = self.store.nodes[sid]
-            rhs = node.seq.rhs
             if node.seq.regular:
-                if (u.regular_premise_rhs >> rhs) & 1:
-                    self._regular_step(sid, node)
+                self._regular_step(sid, node)
             else:
                 irregular.append(sid)
-                if (u.irregular_premise_rhs >> rhs) & 1:
-                    self._irregular_step(sid, node)
+                self._irregular_step(sid, node)
         if self._goal is None:
             self._add_candidate_members([sid for sid in irregular if sid in entries])
         self.last = self._added_now
@@ -630,13 +624,10 @@ class SearchState:
         for t, a in u.imp_targets.get(seq.rhs, ()):
             for lam in minimal_shifts(u, seq.sigma, seq.theta, a):
                 self._insert(shifted(seq, lam, t), RULE_IMP_IN, (sid,))
-        for t, c1, c2 in u.or_targets:
-            if seq.rhs == c1:
-                for pid in sorted(self.db.by_rhs.get(c2, ())):
-                    self._try_or(sid, pid, t)
-            if seq.rhs == c2:
-                for pid in sorted(self.db.by_rhs.get(c1, ())):
-                    self._try_or(pid, sid, t)
+        for t, other, left in u.or_partners.get(seq.rhs, ()):
+            for pid in sorted(self.db.by_rhs.get(other, ())):
+                lid, rid = (sid, pid) if left else (pid, sid)
+                self._try_or(lid, rid, t)
 
     def _try_or(self, lid: int, rid: int, t: int) -> None:
         a = self.store.nodes[lid].seq

@@ -324,50 +324,6 @@ def test_closures_are_computed_only_for_implication_rules(monkeypatch):
     assert 0 < len(calls) <= 800
 
 
-def _wrap_rule_methods(monkeypatch, wrap):
-    """Replace both rule methods of ``SearchState`` by ``wrap(method)``."""
-    for name in ("_regular_step", "_irregular_step"):
-        monkeypatch.setattr(SearchState, name, wrap(getattr(SearchState, name)))
-
-
-def test_rules_are_called_only_for_premises_they_read(monkeypatch):
-    # A step hands a premise to its rules only when some rule of its flavour
-    # reads its right side: chain 10 called them for all 3,357 live new
-    # premises, and needs 779 of those calls.
-    calls = []
-    _wrap_rule_methods(monkeypatch, lambda method: lambda self, sid, node: (
-        calls.append(sid) or method(self, sid, node)))
-    assert not fsearch(_chain(10)).is_proof
-    assert 0 < len(calls) <= 779
-
-
-def test_premises_the_step_skips_would_generate_nothing(monkeypatch):
-    # With every right side marked as read, the step hands every premise to
-    # its rules: each one the step skips generates nothing, and the store is
-    # the one the skipping run leaves.
-    reads = {}
-    skipped = 0
-
-    def checked(method):
-        def wrapper(self, sid, node):
-            nonlocal skipped
-            before = self._counters["generated"]
-            method(self, sid, node)
-            if not (reads[node.seq.regular] >> node.seq.rhs) & 1:
-                skipped += 1
-                assert self._counters["generated"] == before, node.seq.render()
-        return wrapper
-
-    _wrap_rule_methods(monkeypatch, checked)
-    for goal in [nishimura(i) for i in range(1, 13)] + random_formulas(2026, 3, 12, 150):
-        u = build_universe(goal)
-        reads.update({True: u.regular_premise_rhs, False: u.irregular_premise_rhs})
-        u.regular_premise_rhs = u.irregular_premise_rhs = -1
-        out = SearchState(u).run()
-        assert out.store.dump() == fsearch(goal).store.dump(), to_text(goal)
-    assert skipped > 200
-
-
 # -- subsumption index against the linear scan ------------------------------------
 
 class LinearScanDatabase(Database):

@@ -1,13 +1,15 @@
 """Run alternating base/change pairs of the benchmark and compare them.
 
-    python tools/bench_pairs.py --workload chains --seed 30001 [--pairs 10]
-        [--seconds 50] [--base HEAD~1] [--change HEAD]
+    python tools/bench_pairs.py --workload chains --seed 30001
+        [--base HEAD~1] [--change HEAD]
 
-Each side runs ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` from a ``git archive`` copy of its revision in a temporary
-directory, with ``PYTHONDONTWRITEBYTECODE=1``, one run at a time.  Pair ``i``
-runs both sides on seed ``--seed + i``, so pick seeds no earlier comparison
-used; even pairs run the base first, odd pairs the change first.
+It runs ten pairs, the fewest the claim rule below can judge.  Each side
+runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``, with
+``T`` the ``run_seconds`` of ``BENCHMARK.json``, from a ``git archive`` copy
+of its revision in a temporary directory, with ``PYTHONDONTWRITEBYTECODE=1``,
+one run at a time.  Pair ``i`` runs both sides on seed ``--seed + i``, so
+pick seeds no earlier comparison used; even pairs run the base first, odd
+pairs the change first.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints both sides'
 median and quartiles, the pairs the change won (ties count for neither),
@@ -34,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -90,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--base", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
     args = ap.parse_args(argv)
@@ -100,10 +101,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: checkout(getattr(args, side), Path(tmp) / side)
                  for side in results}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                result = run_once(trees[side], args.workload, seed, args.seconds)
+                result = run_once(trees[side], args.workload, seed,
+                                  spec["run_seconds"])
                 results[side].append(result)
                 values = {k: v["value"] for k, v in result["metrics"].items()}
                 print(json.dumps({"pair": i, "side": side, "seed": seed,
