@@ -38,6 +38,7 @@ hit is not confirmed: the forward query runs on a bucket key and a mask
 alone, and the walk's bound queries the regular sequents below a set as
 masks, building none.  Storing is that query plus one store tail.  Each
 conclusion is built as a ``Sequent`` once and inserted with one call.
+
 Every rule looks up the targets a premise feeds by its right side.  The
 closure of a regular premise's left side is computed only when an
 implication rule has the premise's right side as consequent: no other rule
