@@ -47,11 +47,16 @@ reads it.
 Join rules range over candidate premise sets: irregular premises with
 pairwise covering stable parts, pairwise distinct right sides, and every
 right side admissible as a join participant (it must occur as an
-antecedent on the left of the goal, or as a disjunct on the right).  No
-set is stored.  An iteration registers its new premises ranked below the
-wave as members, oldest first, and then starts a depth-first walk from
-each, newest first: from the premise's singleton set over the members
-registered before it that the set admits.  The walk visits those
+antecedent on the left of the goal, or as a disjunct on the right).  The
+search keeps the join state and code in one ``JoinScheduler`` and calls it
+through three entry points only: ``add`` with the live irregular premises
+of each step, ``raise_wave`` once everything below the wave has saturated,
+and ``on_removed`` with each batch the database retires; the scheduler
+inserts every conclusion through the search's own insertion path.  No set
+is stored.  An iteration registers its new premises ranked below the wave
+as members, oldest first, and then starts a depth-first walk from each,
+newest first: from the premise's singleton set over the members registered
+before it that the set admits.  The walk visits those
 candidates newest first; for each it walks the extension by that
 candidate over the candidates before it that the extension admits, and
 fires the set itself last.  So every set is walked once, from its newest
@@ -427,14 +432,14 @@ class SearchOutcome:
 class SearchState:
     """One saturation run, with joins staged by wave so that the first goal
     sequent has the least join depth; exposes the iteration step for tests
-    and tools."""
+    and tools.  The joins go through the :class:`JoinScheduler` in ``joins``,
+    which tests may replace on a state they built."""
 
     def __init__(self, universe: GoalUniverse, *, backward_subsumption: bool = True,
                  shuffle_seed: int | None = None, collect_stats: bool = False):
         self.u = universe
         self.db = Database(universe, compact_mode=backward_subsumption)
         self.store = self.db.store
-        self.cap = 0  # the wave: the highest join rank that may fire
         self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         self.collect_stats = collect_stats
         self.stats: list[dict] = []
@@ -443,24 +448,24 @@ class SearchState:
         self.last: list[int] = []
         self._added_now: list[int] = []
         self._counters = dict.fromkeys(_COUNTERS, 0)
-
-        self.members: dict[int, None] = {}  # join premises still live, oldest registered first
-        self.waiting: list[int] = []  # join premises ranked at or above the wave
+        self.joins = JoinScheduler(self)
         self.db.removal_listeners.append(self._on_removed)
 
     # -- insertion ---------------------------------------------------------
 
-    def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...]) -> None:
-        """Insert the conclusion ``seq`` through ``Database.insert``."""
+    def _insert(self, seq: Sequent, rule: str, premises: tuple[int, ...],
+                rank: int | None = None) -> None:
+        """Insert the conclusion ``seq`` through ``Database.insert``, with rank
+        ``rank`` or, without one, the rank its premises give."""
         self._counters["generated"] += 1
-        nid = self.db.insert(seq, rule, premises, self.iteration)
+        nid = self.db.insert(seq, rule, premises, self.iteration, rank)
         if nid is None:
             self._counters["forward_subsumed"] += 1
             return
         self._added_now.append(nid)
         if seq.regular and seq.rhs == self.u.goal_pos:
-            # The first: one premise's rules store at most one goal
-            # sequent, and the search stops after them.
+            # The first: one premise's rules, or one set's conclusions,
+            # store at most one goal sequent, and the search stops after them.
             self._goal = nid
 
     def insert_axioms(self) -> list[int]:
@@ -471,112 +476,19 @@ class SearchState:
         self._flush_stats()
         return self.last
 
-    # -- join candidate sets -------------------------------------------------
-
-    def _add_candidate_members(self, premises: list[int]) -> None:
-        """Register the join premises among ``premises`` (live irregular
-        sequents, none registered yet) ranked below the wave as members, in
-        their order, and put the others in ``waiting``; then walk from each
-        new member, the last first: from its singleton set over the members
-        registered before it that the set admits."""
-        nodes, members = self.store.nodes, self.members
-        new = []
-        for nid in premises:
-            node = nodes[nid]
-            if (self.u.ps4_mask >> node.seq.rhs) & 1:
-                if node.rank < self.cap:
-                    members[nid] = None
-                    new.append(nid)
-                else:
-                    self.waiting.append(nid)
-        for nid in reversed(new):
-            if self._goal is not None:
-                return
-            cs = JoinCandidateSet(self.store, (nid,))
-            self._counters["candidate_sets"] += 1
-            cands = []
-            for m in members:
-                if m == nid:
-                    break
-                if cs.admits(nodes[m].seq):
-                    cands.append(m)
-            if self.rng is not None:
-                self.rng.shuffle(cands)
-            self._walk(cs, cands)
-
-    def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
-        """Fire ``cs`` and every set that extends it by some of ``cands``
-        (all members, so every such set is at or below the wave): for each
-        candidate, the last first, the extension by it and the extensions of
-        that by the candidates before it, then ``cs`` itself; skip them all
-        when ``_subsumed`` shows they would insert nothing."""
-        if cands and self._subsumed(cs, cands):
-            self._counters["subtrees_skipped"] += 1
-            return
-        nodes = self.store.nodes
-        for j in range(len(cands) - 1, -1, -1):
-            if self._goal is not None:
-                return
-            c = cands[j]
-            ext = JoinCandidateSet(self.store, tuple(sorted(cs.members + (c,))), cs, c)
-            self._counters["candidate_sets"] += 1
-            self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
-        if self._goal is None:
-            self._fire(cs)
-
-    def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
-        """Whether no set that extends ``cs`` by some of ``cands``, ``cs``
-        included, is supported, or the database subsumes every conclusion of
-        them all (the bounds of the module docstring)."""
-        u = self.u
-        nodes = self.store.nodes
-        by_ante = u.imps_by_ante
-        ups, cover = cs.up_mask, cs.cover
-        for c in cands:
-            rhs = nodes[c].seq.rhs
-            ups |= 1 << rhs
-            cover |= by_ante.get(rhs, 0)
-        if cs.sig & u.imp_mask & ~cover:
-            return True
-        subsumer = self.db._subsumer
-        for t, _rule, gamma in cs.conclusions(ups, cover):
-            if subsumer((True, t), gamma) is None:
-                return False
-        return True
-
     def _on_removed(self, removed: list[tuple[int, int]]) -> None:
         self._counters["backward_removed"] += len(removed)
-        for rid, _repl in removed:
-            self.members.pop(rid, None)
-
-    def _fire(self, cs: JoinCandidateSet) -> None:
-        """Insert the conclusions of ``cs``, each with the set's rank."""
-        if not cs.supported:
-            return  # never fires: only an extension by a supporting premise can
-        u, members = self.u, cs.members
-        generated = subsumed = 0
-        for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
-            generated += 1
-            nid = self.db.insert(Sequent(u, True, gamma, 0, 0, t), rule, members,
-                                 self.iteration, cs.needed_rank)
-            if nid is None:
-                subsumed += 1
-                continue
-            self._added_now.append(nid)
-            if t == u.goal_pos:  # at most one: one conclusion per target
-                self._goal = nid
-        self._counters["generated"] += generated
-        self._counters["forward_subsumed"] += subsumed
+        self.joins.on_removed(removed)
 
     # -- one iteration -------------------------------------------------------
 
     def step(self) -> list[int]:
         """Apply every instance with a premise from the last iteration, then
-        register the new join premises ranked below the wave as members and
-        walk from each, newest first, firing every set after its supersets;
+        hand every irregular premise still live to ``joins.add``, which
+        registers the join premises ranked below the wave as members and
+        walks from each, newest first, firing every set after its supersets;
         returns the ids of the conclusions that survived subsumption.  Stops
-        at the first stored goal sequent.  Every irregular premise still live
-        after the rules goes to join registration."""
+        at the first stored goal sequent."""
         self.iteration += 1
         self._added_now = []
         entries = self.db.entries
@@ -596,7 +508,7 @@ class SearchState:
                 irregular.append(sid)
                 self._irregular_step(sid, node)
         if self._goal is None:
-            self._add_candidate_members([sid for sid in irregular if sid in entries])
+            self.joins.add([sid for sid in irregular if sid in entries])
         self.last = self._added_now
         self._flush_stats()
         return self.last
@@ -657,22 +569,132 @@ class SearchState:
                     raise IterationBudgetExceeded(
                         f"no fixpoint within {max_iterations} iterations")
                 self.step()
-            elif self.waiting:
-                # Everything below the wave has saturated: raise it.
-                self.cap += 1
-                batch = [nid for nid in self.waiting if nid in self.db.entries]
-                self.waiting = []
-                if self.rng is not None:
-                    self.rng.shuffle(batch)
-                self._added_now = []
-                self._add_candidate_members(batch)
-                self.last = self._added_now
-                self._flush_stats()
-            else:
+                continue
+            # Everything below the wave has saturated: raise it.
+            self._added_now = []
+            if not self.joins.raise_wave():
                 return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
                                      iterations=self.iteration, stats=self.stats)
+            self.last = self._added_now
+            self._flush_stats()
         return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=self._goal,
                              iterations=self.iteration, stats=self.stats)
+
+
+class JoinScheduler:
+    """The joins of one search: the wave ``cap``, the registered ``members``
+    and the ``waiting`` premises, and the walks that build and fire the
+    candidate sets.  The search calls it through three entry points:
+    :meth:`add` with each step's live irregular premises, :meth:`raise_wave`
+    once everything below the wave has saturated, and :meth:`on_removed`
+    with each batch the database retires.  Every conclusion goes through
+    the search's ``_insert``."""
+
+    def __init__(self, state: SearchState):
+        self.state = state
+        self.cap = 0  # the wave: the highest join rank that may fire
+        self.members: dict[int, None] = {}  # join premises still live, oldest registered first
+        self.waiting: list[int] = []  # join premises ranked at or above the wave
+
+    def add(self, premises: list[int]) -> None:
+        """Register the join premises among ``premises`` (live irregular
+        sequents, none registered yet) ranked below the wave as members, in
+        their order, and put the others in ``waiting``; then walk from each
+        new member, the last first: from its singleton set over the members
+        registered before it that the set admits."""
+        state = self.state
+        nodes, members = state.store.nodes, self.members
+        new = []
+        for nid in premises:
+            node = nodes[nid]
+            if (state.u.ps4_mask >> node.seq.rhs) & 1:
+                if node.rank < self.cap:
+                    members[nid] = None
+                    new.append(nid)
+                else:
+                    self.waiting.append(nid)
+        for nid in reversed(new):
+            if state._goal is not None:
+                return
+            cs = JoinCandidateSet(state.store, (nid,))
+            state._counters["candidate_sets"] += 1
+            cands = []
+            for m in members:
+                if m == nid:
+                    break
+                if cs.admits(nodes[m].seq):
+                    cands.append(m)
+            if state.rng is not None:
+                state.rng.shuffle(cands)
+            self._walk(cs, cands)
+
+    def raise_wave(self) -> bool:
+        """Raise the wave and register the waiting premises still live as
+        one batch, in the order they came unless a seed shuffles them;
+        whether any premise waited."""
+        if not self.waiting:
+            return False
+        state = self.state
+        self.cap += 1
+        batch = [nid for nid in self.waiting if nid in state.db.entries]
+        self.waiting = []
+        if state.rng is not None:
+            state.rng.shuffle(batch)
+        self.add(batch)
+        return True
+
+    def on_removed(self, removed: list[tuple[int, int]]) -> None:
+        for rid, _repl in removed:
+            self.members.pop(rid, None)
+
+    def _walk(self, cs: JoinCandidateSet, cands: list[int]) -> None:
+        """Fire ``cs`` and every set that extends it by some of ``cands``
+        (all members, so every such set is at or below the wave): for each
+        candidate, the last first, the extension by it and the extensions of
+        that by the candidates before it, then ``cs`` itself; skip them all
+        when ``_subsumed`` shows they would insert nothing."""
+        state = self.state
+        if cands and self._subsumed(cs, cands):
+            state._counters["subtrees_skipped"] += 1
+            return
+        nodes = state.store.nodes
+        for j in range(len(cands) - 1, -1, -1):
+            if state._goal is not None:
+                return
+            c = cands[j]
+            ext = JoinCandidateSet(state.store, tuple(sorted(cs.members + (c,))), cs, c)
+            state._counters["candidate_sets"] += 1
+            self._walk(ext, [d for d in cands[:j] if ext.admits(nodes[d].seq)])
+        if state._goal is None:
+            self._fire(cs)
+
+    def _subsumed(self, cs: JoinCandidateSet, cands: list[int]) -> bool:
+        """Whether no set that extends ``cs`` by some of ``cands``, ``cs``
+        included, is supported, or the database subsumes every conclusion of
+        them all (the bounds of the module docstring)."""
+        u, nodes = self.state.u, self.state.store.nodes
+        by_ante = u.imps_by_ante
+        ups, cover = cs.up_mask, cs.cover
+        for c in cands:
+            rhs = nodes[c].seq.rhs
+            ups |= 1 << rhs
+            cover |= by_ante.get(rhs, 0)
+        if cs.sig & u.imp_mask & ~cover:
+            return True
+        subsumer = self.state.db._subsumer
+        for t, _rule, gamma in cs.conclusions(ups, cover):
+            if subsumer((True, t), gamma) is None:
+                return False
+        return True
+
+    def _fire(self, cs: JoinCandidateSet) -> None:
+        """Insert the conclusions of ``cs``, each with the set's rank."""
+        if not cs.supported:
+            return  # never fires: only an extension by a supporting premise can
+        state = self.state
+        for t, rule, gamma in cs.conclusions(cs.up_mask, cs.cover):
+            state._insert(Sequent(state.u, True, gamma, 0, 0, t), rule, cs.members,
+                          cs.needed_rank)
 
 
 def fsearch(goal: Formula | GoalUniverse, *, backward_subsumption: bool = True,

@@ -12,8 +12,8 @@ from ipldecide.generate import nishimura, random_formula, random_formulas
 from ipldecide.kripke import check_countermodel, height
 from ipldecide.rules import JoinParts, Sequent, covers, subsumes
 from ipldecide.search import (AX_IRR, Database, IterationBudgetExceeded,
-                              JoinCandidateSet, SearchOutcome, SearchState, fsearch,
-                              minimum_compact)
+                              JoinCandidateSet, JoinScheduler, SearchOutcome, SearchState,
+                              fsearch, minimum_compact)
 
 from conftest import (E_IRREGULAR_LINES, SCOTT, SCOTT_LINES, VALID_E, iseq,
                       rseq, sequent_of_line)
@@ -61,11 +61,6 @@ def test_budget_below_fixpoint_raises(scott_u):
 
 # -- insert ---------------------------------------------------------------------
 
-def put(db, seq, rule, premises=()):
-    """``Database.insert`` of the sequent ``seq``: its node id, or None."""
-    return db.insert(seq, rule, premises)
-
-
 def removal_log(db):
     """The ``(retired id, replacement id or None)`` pairs ``db`` reports."""
     removed = []
@@ -76,16 +71,16 @@ def removal_log(db):
 def test_insert_duplicate_is_forward_subsumed(valid_e_u):
     db = Database(valid_e_u)
     s = rseq(valid_e_u, ["p"], "q1")
-    nid = put(db, s, AX_IRR)
+    nid = db.insert(s, AX_IRR)
     assert nid is not None and db.entries == {nid}
-    assert put(db, s, AX_IRR) is None
+    assert db.insert(s, AX_IRR) is None
 
 
 def test_insert_smaller_left_side_is_forward_subsumed():
     u = build_universe(parse("(p & r) -> q"))
     db = Database(u)
-    put(db, rseq(u, ["p", "r"], "q"), "seed")
-    assert put(db, rseq(u, ["p"], "q"), "seed") is None
+    db.insert(rseq(u, ["p", "r"], "q"), "seed")
+    assert db.insert(rseq(u, ["p"], "q"), "seed") is None
 
 
 def test_insert_backward_subsumption_retires_only_the_subsumed_entry():
@@ -94,11 +89,11 @@ def test_insert_backward_subsumption_retires_only_the_subsumed_entry():
     u = build_universe(parse("(x & a & b) -> ((q | q) & q)"))
     db = Database(u, compact_mode=True)
     removed = removal_log(db)
-    weak = put(db, iseq(u, ["x"], ["a"], "q"), "seed")
-    c1 = put(db, iseq(u, ["x"], ["a"], "q | q"), "or", (weak, weak))
-    c2 = put(db, iseq(u, ["x"], ["a"], "(q | q) & q"), "and", (c1,))
+    weak = db.insert(iseq(u, ["x"], ["a"], "q"), "seed")
+    c1 = db.insert(iseq(u, ["x"], ["a"], "q | q"), "or", (weak, weak))
+    c2 = db.insert(iseq(u, ["x"], ["a"], "(q | q) & q"), "and", (c1,))
     assert not removed
-    new = put(db, iseq(u, ["x"], ["a", "b"], "q"), "seed")
+    new = db.insert(iseq(u, ["x"], ["a", "b"], "q"), "seed")
     assert removed == [(weak, new)]
     assert db.entries == {new, c1, c2}
     # The store keeps the tombstoned node replayable.
@@ -110,8 +105,8 @@ def test_insert_without_compact_mode_keeps_subsumed_entries():
     u = build_universe(parse("(p & r) -> q"))
     db = Database(u, compact_mode=False)
     removed = removal_log(db)
-    a = put(db, rseq(u, ["p"], "q"), "seed")
-    b = put(db, rseq(u, ["p", "r"], "q"), "seed")
+    a = db.insert(rseq(u, ["p"], "q"), "seed")
+    b = db.insert(rseq(u, ["p", "r"], "q"), "seed")
     assert None not in (a, b) and not removed
     assert len(db) == 2
 
@@ -440,7 +435,7 @@ def test_subsumption_index_matches_the_linear_scan(compact_mode, ops, queries):
         seq = _index_sequent(regular, rhs, sigma, bits)
         n = len(dbs[0].store)
         premises = tuple(p % n for p in prem) if n else ()
-        new, old = (put(db, seq, "seed", premises) for db in dbs)
+        new, old = (db.insert(seq, "seed", premises) for db in dbs)
         assert new == old
         assert calls[0] == calls[1]
         assert dbs[0].entries == dbs[1].entries
@@ -493,7 +488,7 @@ def test_next_grade_probe_matches_the_linear_scan(compact_mode, bucket):
             seq = _probe_sequent(bucket, rhs, mask)
             n = len(dbs[0].store)
             premises = tuple(rng.sample(range(n), min(n, rng.randrange(3))))
-            new, old = (put(db, seq, "seed", premises) for db in dbs)
+            new, old = (db.insert(seq, "seed", premises) for db in dbs)
             assert new == old
             assert calls[0] == calls[1]
             assert dbs[0].entries == dbs[1].entries
@@ -528,8 +523,14 @@ def test_subsumption_index_reproduces_the_linear_scan_runs(monkeypatch):
 
 # -- join candidate sets: the walk against the stored sets ------------------------
 
-class StoredSetSearchState(SearchState):
-    """``SearchState`` with every join candidate set stored (the reference):
+def with_joins(state, scheduler):
+    """``state`` with a new ``scheduler`` as its join scheduler."""
+    state.joins = scheduler(state)
+    return state
+
+
+class StoredSetScheduler(JoinScheduler):
+    """``JoinScheduler`` with every join candidate set stored (the reference):
     each clique of the pairwise-``covers`` graph is registered once under its
     member set, a step registers all its new members ranked below the wave
     before any set fires, pending sets fire in descending order of their
@@ -538,63 +539,53 @@ class StoredSetSearchState(SearchState):
     swapped-in member may wait for a later wave, so a set above the wave is
     held back and fires, if still stored, when the wave is raised."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.sets = {}
-        self.by_member = {}
-        self.pending = deque()
-        self.blocked = []
+    def __init__(self, state):
+        super().__init__(state)
+        self.sets, self.by_member, self.pending, self.blocked = {}, {}, deque(), []
 
     def _register_set(self, members, base=None, new=-1):
         key = frozenset(members)
         if key in self.sets:
             return
-        cs = search.JoinCandidateSet(self.store, members, base, new)
+        cs = search.JoinCandidateSet(self.state.store, members, base, new)
         self.sets[key] = cs
         for m in members:
             self.by_member.setdefault(m, set()).add(key)
         self.pending.append(key)
 
     def _register_member(self, nid):
-        seq = self.store.nodes[nid].seq
-        if not (self.u.ps4_mask >> seq.rhs) & 1:
+        seq = self.state.store.nodes[nid].seq
+        if not (self.state.u.ps4_mask >> seq.rhs) & 1:
             return
         extensions = [cs for cs in self.sets.values() if cs.admits(seq)]
         for cs in extensions:
             self._register_set(tuple(sorted(cs.members + (nid,))), cs, nid)
         self._register_set((nid,))
 
-    def _add_candidate_members(self, premises):
+    def add(self, premises):
         for nid in premises:
-            node = self.store.nodes[nid]
-            if (self.u.ps4_mask >> node.seq.rhs) & 1 and node.rank >= self.cap:
+            node = self.state.store.nodes[nid]
+            if (self.state.u.ps4_mask >> node.seq.rhs) & 1 and node.rank >= self.cap:
                 self.waiting.append(nid)
             elif nid not in self.members:
                 self.members[nid] = None
                 self._register_member(nid)
         self._drain_pending()
 
-    def _raise_wave(self):
-        self.cap += 1
+    def raise_wave(self):
         self.pending.extend(frozenset(cs.members) for cs in self.blocked)
         self.blocked = []
-        batch = [nid for nid in self.waiting if nid in self.db.entries]
-        self.waiting = []
-        self._added_now = []
-        self._add_candidate_members(batch)
-        self.last = self._added_now
-        self._flush_stats()
+        return super().raise_wave()
 
     def _descending(self, keys):
         """``keys`` in descending order of their member lists, each list
         sorted newest first: supersets before their subsets.  A swapped-in
         member not registered yet is newer than every registered one."""
         pos = {m: i for i, m in enumerate(self.members)}
-        return sorted(keys, key=lambda key: sorted((pos.get(m, len(pos)) for m in key),
-                                                   reverse=True),
-                      reverse=True)
+        return sorted(keys, reverse=True,
+                      key=lambda key: sorted((pos.get(m, len(pos)) for m in key), reverse=True))
 
-    def _on_removed(self, removed):
+    def on_removed(self, removed):
         for rid, repl in removed:
             self.members.pop(rid, None)
             for key in list(self.by_member.get(rid, ())):
@@ -603,7 +594,7 @@ class StoredSetSearchState(SearchState):
                     continue
                 for m in cs.members:
                     self.by_member.get(m, set()).discard(key)
-                if repl is not None and not self.store.nodes[rid].seq.regular:
+                if repl is not None and not self.state.store.nodes[rid].seq.regular:
                     members = tuple(sorted(repl if m == rid else m for m in cs.members))
                     self._register_set(members)
             self.by_member.pop(rid, None)
@@ -612,10 +603,10 @@ class StoredSetSearchState(SearchState):
         while self.pending:
             batch = self._descending(self.pending)
             self.pending.clear()
-            if self.rng is not None:
-                self.rng.shuffle(batch)
+            if self.state.rng is not None:
+                self.state.rng.shuffle(batch)
             for key in batch:
-                if self._goal is not None:
+                if self.state._goal is not None:
                     return
                 if key in self.sets:
                     self._fire(self.sets[key])
@@ -625,19 +616,6 @@ class StoredSetSearchState(SearchState):
             self.blocked.append(cs)
         else:
             super()._fire(cs)
-
-    def run(self, max_iterations=None):
-        self.insert_axioms()
-        while self._goal is None:
-            if not self.last:
-                if self.waiting:
-                    self._raise_wave()
-                    continue
-                return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
-                                     iterations=self.iteration, stats=self.stats)
-            self.step()
-        return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=self._goal,
-                             iterations=self.iteration, stats=self.stats)
 
 
 class FromScratchJoinCandidateSet(JoinParts):
@@ -655,12 +633,12 @@ class FromScratchJoinCandidateSet(JoinParts):
 
 
 def scan_register_member(self, nid):
-    """``StoredSetSearchState._register_member`` before the one-mask test:
+    """``StoredSetScheduler._register_member`` before the one-mask test:
     each member of each set is checked with ``covers`` (the reference)."""
-    seq = self.store.nodes[nid].seq
-    if not (self.u.ps4_mask >> seq.rhs) & 1:
+    nodes = self.state.store.nodes
+    seq = nodes[nid].seq
+    if not (self.state.u.ps4_mask >> seq.rhs) & 1:
         return
-    nodes = self.store.nodes
     extensions = []
     for cs in self.sets.values():
         if seq.rhs in {nodes[m].seq.rhs for m in cs.members}:
@@ -674,11 +652,11 @@ def scan_register_member(self, nid):
 
 
 def never_subsumed(self, cs, cands):
-    """``SearchState._subsumed`` that never skips a subtree (the full walk)."""
+    """``JoinScheduler._subsumed`` that never skips a subtree (the full walk)."""
     return False
 
 
-class FullWalkSearchState(SearchState):
+class FullWalkScheduler(JoinScheduler):
     _subsumed = never_subsumed
 
 
@@ -689,16 +667,15 @@ MOVED_BY_PREMISE_GATE = (_picks((77, 4, 40, 1500), 462, 1239) + _picks((78, 5, 4
                          + _picks((79, 5, 60, 600), 268, 477))
 
 
-def _join_trace(state_class, goal):
+def _join_trace(scheduler, goal):
     """Every set that fires, with its parts and rank, and both dumps, after
-    the axioms, each step and each wave."""
-    state = state_class(build_universe(goal))
-    snapshots = []
-    fired = []
-    fire, flush = state._fire, state._flush_stats
+    the axioms, each step and each wave; and the scheduler."""
+    state = with_joins(SearchState(build_universe(goal)), scheduler)
+    snapshots, fired = [], []
+    fire, flush = state.joins._fire, state._flush_stats
 
     def record(cs):
-        if cs.supported and cs.needed_rank <= state.cap:
+        if cs.supported and cs.needed_rank <= state.joins.cap:
             fired.append((cs.members, cs.up_mask, cs.sig, cs.meet, cs.theta, cs.cover,
                           cs.ups_in_ps3, cs.needed_rank))
         fire(cs)
@@ -708,9 +685,9 @@ def _join_trace(state_class, goal):
         snapshots.append((fired[:], state.db.dump(annotated=True), state.store.dump()))
         fired.clear()
 
-    state._fire, state._flush_stats = record, snapshot
+    state.joins._fire, state._flush_stats = record, snapshot
     state.run()
-    return snapshots
+    return snapshots, state.joins
 
 
 def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
@@ -719,13 +696,24 @@ def test_incremental_candidate_sets_reproduce_the_member_scan_runs(monkeypatch):
     # and builds each from its base set.
     goals = [_chain(n) for n in range(4, 9)] + [nishimura(i) for i in range(1, 13)]
     goals += MOVED_BY_PREMISE_GATE
-    monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
-    traces = [_join_trace(SearchState, g) for g in goals]
+    traces = [_join_trace(FullWalkScheduler, g)[0] for g in goals]
     assert max(len(cs[0]) for trace in traces for fired, *_ in trace for cs in fired) >= 3
-    monkeypatch.setattr(StoredSetSearchState, "_register_member", scan_register_member)
+    monkeypatch.setattr(StoredSetScheduler, "_register_member", scan_register_member)
     monkeypatch.setattr(search, "JoinCandidateSet", FromScratchJoinCandidateSet)
+    stored = 0
     for goal, trace in zip(goals, traces):
-        assert _join_trace(StoredSetSearchState, goal) == trace, goal
+        snapshots, joins = _join_trace(StoredSetScheduler, goal)
+        assert snapshots == trace, goal
+        stored += len(joins.sets)
+    assert stored > 0
+
+
+def counted_sets(monkeypatch):
+    """A list that grows by one for each candidate set built from now on."""
+    built = []
+    monkeypatch.setattr(search, "JoinCandidateSet",
+                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    return built
 
 
 def _store_trace(goal, backward_subsumption, built):
@@ -740,9 +728,7 @@ def _store_trace(goal, backward_subsumption, built):
 def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     # Every store, root and dump of the pruned walk is the full walk's, byte
     # for byte, while the pruned walk builds fewer sets.
-    built = []
-    monkeypatch.setattr(search, "JoinCandidateSet",
-                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    built = counted_sets(monkeypatch)
     # The ladders run with and without backward subsumption.
     goals = [(_chain(n), True) for n in range(4, 11)]
     goals += [(nishimura(i), bw) for i in range(1, 15) for bw in (True, False)]
@@ -761,7 +747,7 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
     # on and off.
     goals += [(parse("p2 | ~(p3 & (p1 & p2)) | (p2 & p3 -> p4)"), bw) for bw in (True, False)]
     pruned = [_store_trace(g, bw, built) for g, bw in goals]
-    monkeypatch.setattr(SearchState, "_subsumed", never_subsumed)
+    monkeypatch.setattr(search, "JoinScheduler", FullWalkScheduler)
     full = [_store_trace(g, bw, built) for g, bw in goals]
     for run, fast, slow in zip(goals, pruned, full):
         assert fast[:-1] == slow[:-1], run
@@ -772,9 +758,7 @@ def test_skipped_subtrees_would_insert_nothing(monkeypatch):
 def _sets_built_to_refute(monkeypatch, goal):
     """The candidate sets built to refute ``goal``, as the stats rows count
     them and as constructed."""
-    built = []
-    monkeypatch.setattr(search, "JoinCandidateSet",
-                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    built = counted_sets(monkeypatch)
     out = fsearch(goal, collect_stats=True)
     assert out.is_proof
     return sum(row["candidate_sets"] for row in out.stats), len(built)
@@ -805,9 +789,7 @@ def test_stats_rows_count_each_set_built_once(monkeypatch):
     # A set is counted once, in the row of the step or the wave whose walk
     # built it: a premise that waits is walked only from the wave that
     # registers it, and one retired while it waits from none.
-    built = []
-    monkeypatch.setattr(search, "JoinCandidateSet",
-                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    built = counted_sets(monkeypatch)
     goals = [nishimura(i) for i in range(1, 17)] + random_formulas(2027, 4, 28, 100)
     for goal in goals:
         for backward_subsumption in (True, False):
@@ -822,7 +804,7 @@ def test_a_premise_retired_while_it_waits_never_joins_a_set(monkeypatch):
     # On these goals a join premise ranked at or above the wave is retired
     # while it waits; the wave that registers the other waiting premises
     # leaves it out, so every set fires with all its members live.
-    fire, on_removed = SearchState._fire, SearchState._on_removed
+    fire, on_removed = JoinScheduler._fire, JoinScheduler.on_removed
     retired = []
 
     def log_removed(self, removed):
@@ -830,11 +812,11 @@ def test_a_premise_retired_while_it_waits_never_joins_a_set(monkeypatch):
         on_removed(self, removed)
 
     def live_only(self, cs):
-        assert all(m in self.db for m in cs.members), cs.members
+        assert all(m in self.state.db for m in cs.members), cs.members
         fire(self, cs)
 
-    monkeypatch.setattr(SearchState, "_on_removed", log_removed)
-    monkeypatch.setattr(SearchState, "_fire", live_only)
+    monkeypatch.setattr(JoinScheduler, "on_removed", log_removed)
+    monkeypatch.setattr(JoinScheduler, "_fire", live_only)
     for text in ("~~p1 -> p1 & p1",
                  "~(~p1 | p2 | p1) & ~(p1 -> p1 & p3) -> p1 | p1 & p3",
                  "(~(p2 & p3) -> p3 -> p3) -> p3 | (~(p1 -> p3) -> ~~~p4) | p1"):
@@ -849,7 +831,7 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
     # irregular: so no fire retires a member, and every set fires with all
     # its members live.  Registered members do retire on these goals,
     # between walks.
-    fire, on_removed = SearchState._fire, SearchState._on_removed
+    fire, on_removed = JoinScheduler._fire, JoinScheduler.on_removed
     retired = []
 
     def log_removed(self, removed):
@@ -862,8 +844,8 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
         fire(self, cs)
         assert not set(retired[start:]) & set(cs.members), cs.members
 
-    monkeypatch.setattr(SearchState, "_on_removed", log_removed)
-    monkeypatch.setattr(SearchState, "_fire", checked_fire)
+    monkeypatch.setattr(JoinScheduler, "on_removed", log_removed)
+    monkeypatch.setattr(JoinScheduler, "_fire", checked_fire)
     goals = (_picks((77, 4, 40, 1500), 765, 766, 1282) + _picks((78, 5, 44, 500), 226, 270, 412)
              + _picks((79, 5, 60, 600), 120, 309, 419, 563))
     for goal in goals:
@@ -875,20 +857,20 @@ def test_a_firing_set_never_retires_its_own_members(monkeypatch):
 def test_join_conclusions_take_the_rank_of_the_set_that_fires_them(monkeypatch):
     # A join conclusion takes the rank the walk gave the set when it built
     # it, which must be one above the conclusion's deepest premise.
-    fire = SearchState._fire
+    fire = JoinScheduler._fire
     ranks = []
 
     def checked_fire(self, cs):
-        start = len(self.store)
+        start = len(self.state.store)
         fire(self, cs)
-        nodes = self.store.nodes
+        nodes = self.state.store.nodes
         for node in nodes[start:]:
             assert node.rule in search.JOIN_RULES and node.premises == cs.members
             assert node.rank == cs.needed_rank, cs.members
             assert node.rank == max(nodes[p].rank for p in node.premises) + 1, cs.members
             ranks.append(node.rank)
 
-    monkeypatch.setattr(SearchState, "_fire", checked_fire)
+    monkeypatch.setattr(JoinScheduler, "_fire", checked_fire)
     # Corpus formula #162 extends a set by a candidate ranked above all its
     # members, the one case where the set's rank is not its base's.
     goals = (random_formulas(2026, 3, 12, 150) + random_formulas(2026, 3, 12, 163)[162:]
@@ -950,8 +932,8 @@ def test_minimal_height_ladders_keep_their_heights_and_check():
             assert height(model) == LADDER_HEIGHTS[i - 1], i
 
 
-def _walk_trace(state_class, goal, backward_subsumption):
-    out = state_class(build_universe(goal), backward_subsumption=backward_subsumption).run()
+def _walk_trace(scheduler, goal, bw):
+    out = with_joins(SearchState(build_universe(goal), backward_subsumption=bw), scheduler).run()
     return (out.status, out.root, out.store.dump(), out.db.dump(annotated=True),
             minimum_compact(out.db).dump())
 
@@ -969,15 +951,15 @@ def _larger_formula(seed):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_pruned_walk_matches_the_full_walk_on_larger_formulas(seed, backward_subsumption):
     goal = _larger_formula(seed)
-    assert (_walk_trace(SearchState, goal, backward_subsumption)
-            == _walk_trace(FullWalkSearchState, goal, backward_subsumption)), to_text(goal)
+    assert (_walk_trace(JoinScheduler, goal, backward_subsumption)
+            == _walk_trace(FullWalkScheduler, goal, backward_subsumption)), to_text(goal)
 
 
 def test_every_set_fires_after_its_fired_supersets(monkeypatch):
     # Walks start from the newest premise that a step or a wave registers
     # and visit candidates newest first: so within a step or a wave a set
     # fires after every superset of it that fires.
-    fire, flush = SearchState._fire, SearchState._flush_stats
+    fire, flush = JoinScheduler._fire, SearchState._flush_stats
     fired = []
     superset_first = 0
 
@@ -995,7 +977,7 @@ def test_every_set_fires_after_its_fired_supersets(monkeypatch):
         fired.clear()
         flush(self)
 
-    monkeypatch.setattr(SearchState, "_fire", record)
+    monkeypatch.setattr(JoinScheduler, "_fire", record)
     monkeypatch.setattr(SearchState, "_flush_stats", check)
     goals = [(_chain(n), True) for n in range(4, 11)]
     goals += [(nishimura(i), bw) for i in range(1, 15) for bw in (True, False)]
@@ -1033,7 +1015,7 @@ def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
     # Without a seed each walk extends its newest member by the older
     # members newest first; a seed shuffles them, and the members of each
     # step, but leaves the compact database as it is.
-    fire = SearchState._fire
+    fire = JoinScheduler._fire
     walks = []
 
     def record(self, cs):
@@ -1043,7 +1025,7 @@ def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
             walks[-1].setdefault(newest, []).append(members.index(older))
         fire(self, cs)
 
-    monkeypatch.setattr(SearchState, "_fire", record)
+    monkeypatch.setattr(JoinScheduler, "_fire", record)
     dumps = set()
     for seed in (None, 1, 2, 3):
         walks.append({})
@@ -1057,66 +1039,33 @@ def test_seeds_change_the_join_order_but_not_the_compact_database(monkeypatch):
 
 # -- the stop at the first goal sequent against the iteration-granular loop -------
 
-class IterationSearchState(StoredSetSearchState):
-    """The stored-set reference before the stop: every rule instance of an
-    iteration is applied and every new member registered before any new set
-    fires, every pending set fires, and the database is searched for a goal
-    sequent only between iterations."""
+class IterationSearchState(SearchState):
+    """The stop policy of the stored-set reference before the stop, to run
+    with ``StoredSetScheduler``: every rule instance of an iteration is
+    applied and every new member registered before any new set fires, every
+    pending set fires, and the database is searched for a goal sequent only
+    between iterations (``_insert`` leaves ``_goal`` unset, and
+    ``_flush_stats`` sets it from that search)."""
 
-    def _drain_pending(self):
-        while self.pending:
-            batch = self._descending(self.pending)
-            self.pending.clear()
-            if self.rng is not None:
-                self.rng.shuffle(batch)
-            for key in batch:
-                if key in self.sets:
-                    self._fire(self.sets[key])
+    def _insert(self, seq, rule, premises, rank=None):
+        super()._insert(seq, rule, premises, rank)
+        self._goal = None
 
-    def step(self):
-        self.iteration += 1
-        self._added_now = []
-        order = list(self.last)
-        if self.rng is not None:
-            self.rng.shuffle(order)
-        for sid in order:
-            if sid not in self.db.entries:
-                continue
-            node = self.store.nodes[sid]
-            if node.seq.regular:
-                self._regular_step(sid, node)
-            else:
-                self._irregular_step(sid, node)
-        self._add_candidate_members([sid for sid in order if sid in self.db.entries
-                                     and not self.store.nodes[sid].seq.regular])
-        self.last = self._added_now
-        self._flush_stats()
-        return self.last
-
-    def run(self, max_iterations=None):
-        self.insert_axioms()
-        while True:
-            goal = LinearScanDatabase.find_goal(self.db)
-            if goal is not None:
-                return SearchOutcome(SearchOutcome.PROOF, self.db, self.u, root=goal,
-                                     iterations=self.iteration, stats=self.stats)
-            if not self.last:
-                if self.waiting:
-                    self._raise_wave()
-                    continue
-                return SearchOutcome(SearchOutcome.SATURATED, self.db, self.u,
-                                     iterations=self.iteration, stats=self.stats)
-            self.step()
+    def _flush_stats(self):
+        super()._flush_stats()
+        self._goal = LinearScanDatabase.find_goal(self.db)
 
 
 def _stop_trace(goal, backward_subsumption, built):
     """Status, store nodes, root, goal position, the dumps of a saturated
-    run, and the number of candidate sets built (``built`` counts them)."""
+    run, the number of candidate sets built (``built`` counts them) and the
+    join scheduler, of a run of ``search.SearchState``."""
     before = len(built)
-    out = fsearch(goal, backward_subsumption=backward_subsumption)
+    state = search.SearchState(build_universe(goal), backward_subsumption=backward_subsumption)
+    out = state.run()
     nodes = [(n.seq.key, n.rule, n.premises, n.rank) for n in out.store.nodes]
     dumps = None if out.is_proof else (out.db.dump(annotated=True), out.store.dump())
-    return out.status, nodes, out.root, out.universe.goal_pos, dumps, len(built) - before
+    return out.status, nodes, out.root, state.u.goal_pos, dumps, len(built) - before, state.joins
 
 
 def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
@@ -1124,9 +1073,7 @@ def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
     # reference's first stored goal sequent, a valid goal's output is
     # unchanged, and no run builds more candidate sets than the reference:
     # a goal found by a join leaves the later members' sets unbuilt.
-    built = []
-    monkeypatch.setattr(search, "JoinCandidateSet",
-                        lambda *args: built.append(1) or JoinCandidateSet(*args))
+    built = counted_sets(monkeypatch)
     goals = [_chain(n) for n in range(4, 9)] + [nishimura(i) for i in range(1, 13)]
     goals += random_formulas(2026, 3, 12, 150) + MOVED_BY_PREMISE_GATE
     # A premise of a step is retired here by a later conclusion of the same
@@ -1135,9 +1082,11 @@ def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
     runs = [(g, bw, built) for g in goals for bw in (True, False)]
     traces = [_stop_trace(*run) for run in runs]
     monkeypatch.setattr(search, "SearchState", IterationSearchState)
-    cut = fewer_sets = 0
-    for run, (status, nodes, root, goal_pos, dumps, sets) in zip(runs, traces):
-        ref_status, ref_nodes, _ref_root, _goal_pos, ref_dumps, ref_sets = _stop_trace(*run)
+    monkeypatch.setattr(search, "JoinScheduler", StoredSetScheduler)
+    cut = fewer_sets = stored = 0
+    for run, (status, nodes, root, goal_pos, dumps, sets, _joins) in zip(runs, traces):
+        ref_status, ref_nodes, _, _, ref_dumps, ref_sets, ref_joins = _stop_trace(*run)
+        stored += len(ref_joins.sets)
         assert status == ref_status, run
         assert nodes == ref_nodes[:len(nodes)], run
         assert sets <= ref_sets, run
@@ -1148,4 +1097,46 @@ def test_search_stops_at_the_first_stored_goal_sequent(monkeypatch):
             fewer_sets += nodes[root][1] in search.JOIN_RULES and sets < ref_sets
         else:
             assert (dumps, sets) == (ref_dumps, ref_sets), run
-    assert cut > 0 and fewer_sets > 0
+    assert cut > 0 and fewer_sets > 0 and stored > 0
+
+
+# -- the seam between the search and its join scheduler -------------------------
+
+class ContractScheduler(JoinScheduler):
+    """``JoinScheduler`` that checks how the search calls it and logs the
+    retirements it sees."""
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.added, self.removed = set(), []
+
+    def add(self, premises):
+        assert all(p in self.state.db and not self.state.store.nodes[p].seq.regular
+                   for p in premises)
+        assert not self.added & set(premises), premises
+        self.added.update(premises)
+        super().add(premises)
+
+    def raise_wave(self):
+        assert not self.state.last
+        self.added.difference_update(self.waiting)  # the wave hands them to ``add`` again
+        return super().raise_wave()
+
+    def on_removed(self, removed):
+        self.removed += removed
+        super().on_removed(removed)
+
+
+def test_the_search_calls_its_join_scheduler_through_the_seam():
+    # What a replacement scheduler may rely on: each step hands it its live
+    # irregular premises once, the wave is raised only after a step or a
+    # wave that stored nothing, and it sees every retirement.
+    waves = retired = 0
+    for goal in [nishimura(i) for i in range(1, 17)] + random_formulas(2026, 3, 12, 150):
+        for backward_subsumption in (True, False):
+            state = SearchState(build_universe(goal), backward_subsumption=backward_subsumption)
+            removed = removal_log(with_joins(state, ContractScheduler).db)
+            state.run()
+            assert state.joins.removed == removed, to_text(goal)
+            waves, retired = waves + state.joins.cap, retired + len(removed)
+    assert waves > 0 and retired > 0
